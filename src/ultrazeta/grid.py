@@ -5,8 +5,11 @@ constant on cosets of the ball of radius q^{-m}.  Coset representatives of
 pi^{-L} R_K / pi^m R_K are indexed 0..q^{L+m}-1 by their digit expansion
 (least-significant digit at exponent -L).  Over Q_p the Fourier transform is
 then a scaled DFT of Z/q^{L+m}; over F_p((T)) a digit-reversed tensor power
-of p-point DFTs.  Either way the involution F(F g)(x) = g(-x) and Parseval
-hold at double precision, with every character exponent exact.
+of p-point DFTs, evaluated over all n(L+m) digits of the grid at once as one
+matrix product per group of c digits (p^c <= 64, the matrix F_p^{tensor c}
+built from exact integer exponents) and one digit-reversal gather per axis.
+Either way the involution F(F g)(x) = g(-x) and Parseval hold at double
+precision, with every character exponent exact.
 """
 
 from __future__ import annotations
@@ -34,14 +37,13 @@ def _axis_norm_exps(kind: str, p: int, L: int, m: int):
     """norm exponent f with |rep_i| = q^f per index; sentinel at the
     zero representative."""
     Q = p ** (L + m)
-    out = np.full(Q, _ZERO_SENTINEL, dtype=np.int64)
-    for i in range(1, Q):
-        v = 0
-        j = i
-        while j % p == 0:
-            j //= p
-            v += 1
-        out[i] = L - v
+    idx = np.arange(Q, dtype=np.int64)
+    out = np.full(Q, L, dtype=np.int64)
+    pk = p
+    for _ in range(1, L + m):
+        out -= idx % pk == 0
+        pk *= p
+    out[0] = _ZERO_SENTINEL
     return out
 
 
@@ -49,19 +51,14 @@ def _axis_norm_exps(kind: str, p: int, L: int, m: int):
 def _axis_negation(kind: str, p: int, L: int, m: int):
     Q = p ** (L + m)
     if kind == "Qp":
-        return np.array([(Q - i) % Q for i in range(Q)], dtype=np.int64)
-    # digitwise negation
-    out = np.empty(Q, dtype=np.int64)
-    for i in range(Q):
-        digits = []
-        j = i
-        for _ in range(L + m):
-            digits.append((-(j % p)) % p)
-            j //= p
-        acc = 0
-        for d in reversed(digits):
-            acc = acc * p + d
-        out[i] = acc
+        return (-np.arange(Q, dtype=np.int64)) % Q
+    # digitwise negation: -d_t mod p at every place p^t
+    idx = np.arange(Q, dtype=np.int64)
+    out = np.zeros(Q, dtype=np.int64)
+    pk = 1
+    for _ in range(L + m):
+        out += (-(idx // pk) % p) * pk
+        pk *= p
     return out
 
 
@@ -219,12 +216,36 @@ class GridFunction:
 
     @staticmethod
     def from_json(obj: dict) -> "GridFunction":
+        """Inverse of ``to_json``; a coset needs n digit vectors of L+m
+        digits in 0..p-1 and a finite value, or ValueError is raised."""
         field = FieldSpec.from_json(obj["field"])
         n, L, m = int(obj["n"]), int(obj["L"]), int(obj["m"])
         g = GridFunction.zeros(field, n, L, m)
+        q, width = field.q, L + m
         for entry in obj["values"]:
-            idx = tuple(_axis_index(d, field.q) for d in entry["coset"])
-            g.values[idx] = complex(entry["re"], entry.get("im", 0.0))
+            coset = entry["coset"]
+            if not isinstance(coset, list) or len(coset) != n:
+                raise ValueError(f"coset {coset!r} needs {n} digit vectors")
+            idx = []
+            for digits in coset:
+                if not isinstance(digits, list) or len(digits) != width:
+                    raise ValueError(f"coset {coset!r} needs {width} "
+                                     f"digits per coordinate")
+                acc = 0
+                for d in reversed(digits):
+                    if type(d) is not int or not 0 <= d < q:
+                        raise ValueError(f"coset {coset!r} has a digit "
+                                         f"outside 0..{q - 1}")
+                    acc = acc * q + d
+                idx.append(acc)
+            try:
+                val = complex(entry["re"], entry.get("im", 0.0))
+            except TypeError:
+                raise ValueError(f"value of coset {coset!r} is not a "
+                                 f"number") from None
+            if not cmath.isfinite(val):
+                raise ValueError(f"value of coset {coset!r} is not finite")
+            g.values[tuple(idx)] = val
         return g
 
 
@@ -317,17 +338,73 @@ def embed(g: GridFunction, L: int, m: int) -> GridFunction:
 
 # -- Fourier transform --------------------------------------------------------
 
-def _laurent_axis_ft(a: np.ndarray, axis: int, p: int, width: int):
-    a = np.moveaxis(a, axis, -1)
-    lead = a.shape[:-1]
-    a = a.reshape(lead + (p,) * width)
-    for d in range(width):
-        a = np.fft.fft(a, axis=len(lead) + d)
-    perm = list(range(len(lead))) + \
-        [len(lead) + (width - 1 - d) for d in range(width)]
-    a = np.transpose(a, perm)
-    a = a.reshape(lead + (p ** width,))
-    return np.moveaxis(a, -1, axis)
+# F_p((T)): the pairing of x and xi on one axis is the digit sum
+# sum_t x_t xi_{w-1-t} mod p, so the transform of a grid with D = n(L+m)
+# digits is F_p^{tensor D} on the flat index followed by a digit reversal on
+# every axis.  F_p^{tensor D} runs as one GEMM per group of c digits, where
+# p^c <= _GROUP_CELLS: x.reshape(P, N/P).T @ M transforms the top c digits
+# and rotates them to the bottom, so after all groups every digit is back
+# in place.
+_GROUP_CELLS = 64
+
+
+@lru_cache(maxsize=None)
+def _digit_group_matrix(p: int, c: int) -> np.ndarray:
+    """F_p^{tensor c}: entry (a, b) is exp(-2 pi i e / p) with the exact
+    integer e = sum_t a_t b_t mod p over the base-p digits of a and b."""
+    idx = np.arange(p ** c, dtype=np.int64)
+    e = np.zeros((p ** c,) * 2, dtype=np.int64)
+    pk = 1
+    for _ in range(c):
+        d = (idx // pk) % p
+        e += np.multiply.outer(d, d)
+        pk *= p
+    k = np.arange(p)
+    half = np.minimum(k, p - k)
+    # conjugate pairs come out exactly conjugate, and p = 2 gives exactly -1
+    roots = np.cos(2 * np.pi * half / p) \
+        - 1j * np.sign(p - 2 * k) * np.sin(2 * np.pi * half / p)
+    out = roots[e % p]
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _digit_reversal(p: int, width: int) -> np.ndarray:
+    """Index whose base-p digits are those of i in reverse order."""
+    idx = np.arange(p ** width, dtype=np.int64)
+    out = np.zeros(p ** width, dtype=np.int64)
+    lo, hi = 1, p ** max(width - 1, 0)
+    for _ in range(width):
+        out += (idx // lo) % p * hi
+        lo *= p
+        hi //= p
+    out.setflags(write=False)
+    return out
+
+
+def _laurent_ft(v: np.ndarray, p: int, width: int, scale: float):
+    n = v.ndim
+    digits = n * width
+    if digits == 0:
+        return v * scale
+    c = 1
+    while p ** (c + 1) <= _GROUP_CELLS:
+        c += 1
+    x = v
+    done = 0
+    while done < digits:
+        k = min(c, digits - done)
+        mat = _digit_group_matrix(p, k)
+        if done == 0:
+            mat = mat * scale
+        x = x.reshape(p ** k, -1).T @ mat
+        done += k
+    x = x.reshape(v.shape)
+    rev = _digit_reversal(p, width)
+    for ax in range(n):
+        x = np.take(x, rev, axis=ax)
+    return x
 
 
 def fourier_transform(g: GridFunction) -> GridFunction:
@@ -338,13 +415,12 @@ def fourier_transform(g: GridFunction) -> GridFunction:
     """
     v = g.values.astype(complex) if g.is_exact else g.values
     q = g.field.q
+    scale = float(Fraction(q) ** (-g.m * g.n))
     if g.field.kind == "Qp":
         out = np.fft.fftn(v)
+        out *= scale
     else:
-        out = v
-        for ax in range(g.n):
-            out = _laurent_axis_ft(out, ax, q, g.L + g.m)
-    out = out * float(Fraction(q) ** (-g.m * g.n))
+        out = _laurent_ft(v, q, g.L + g.m, scale)
     return GridFunction(g.field, g.n, g.m, g.L, out)
 
 

@@ -115,3 +115,20 @@ def test_op_apply_and_riesz(tmp_path, grid_file):
     assert rc == 0
     res = json.loads(report.read_text())["results"]["0.5"]
     assert res["discrepancy"] < 1e-10
+
+
+@pytest.mark.parametrize("coset, re", [
+    ([[7, 0]], 1.0),          # digit out of range for p = 3
+    ([[1, 0, 2]], 1.0),       # more digits than L + m
+    ([[1, 0]], float("nan")),  # non-finite value
+    ([[1, 0], [0, 0]], 1.0),  # two coordinates on an n = 1 grid
+])
+def test_fourier_bad_grid_exits_two(tmp_path, coset, re):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({
+        "field": {"kind": "Qp", "p": 3}, "n": 1, "L": 1, "m": 1,
+        "values": [{"coset": coset, "re": re, "im": 0.0}]}))
+    rc = main(["fourier", "--input", str(src), "--output",
+               str(tmp_path / "out.json")])
+    assert rc == 2
+    assert not (tmp_path / "out.json").exists()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrazeta.errors import DivergentIntegral
 from ultrazeta.grid import (GridFunction, Multiplier, SpectralFunction,
@@ -12,7 +13,8 @@ from ultrazeta.grid import (GridFunction, Multiplier, SpectralFunction,
                             partial_fourier_restrict, power_integral,
                             random_grid, reflect, sobolev_norm, sup_norm,
                             sup_norm_constant_sq, unify_pair,
-                            _axis_digits, _qp_char_fraction)
+                            _axis_digits, _axis_negation, _axis_norm_exps,
+                            _qp_char_fraction)
 from ultrazeta.intpoly import IntPolynomial
 from ultrazeta.localfield import LaurentFp, LocalFieldElement, Qp
 
@@ -57,6 +59,82 @@ def test_ft_matches_reference(field, n):
     fast = fourier_transform(g)
     slow = reference_ft(g)
     assert np.max(np.abs(fast.values - slow.values)) < 1e-12
+
+
+# digit counts n(L+m) off the GEMM group size (6 digits at p=2, 3 at p=3,
+# 2 at p=5 and p=7), and the one-cell grids L = m = 0
+@pytest.mark.parametrize("field, n, L, m", [
+    (LaurentFp(2), 1, 3, 4), (LaurentFp(2), 3, 1, 1), (LaurentFp(3), 1, 2, 2),
+    (LaurentFp(5), 1, 2, 1), (LaurentFp(5), 3, 1, 0), (LaurentFp(7), 1, 1, 1),
+    (LaurentFp(2), 2, 0, 0), (LaurentFp(5), 1, 0, 0), (Qp(3), 1, 0, 0)])
+def test_ft_matches_reference_digit_groups(field, n, L, m):
+    rng = np.random.default_rng(field.p * 100 + n * 10 + L + m)
+    g = random_grid(field, n, L, m, rng)
+    fast = fourier_transform(g)
+    slow = reference_ft(g)
+    assert (fast.L, fast.m) == (m, L)
+    assert np.max(np.abs(fast.values - slow.values)) < 1e-12
+
+
+@st.composite
+def _grid_pairs(draw):
+    """Two random grids on one field kind, p in {2, 3, 5, 7}, n <= 3 and at
+    most 4096 cells."""
+    kind = draw(st.sampled_from(["Qp", "LaurentFp"]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    width = 0
+    while p ** ((width + 1) * n) <= 4096:
+        width += 1
+    w = draw(st.integers(0, width))
+    L = draw(st.integers(0, w))
+    field = Qp(p) if kind == "Qp" else LaurentFp(p)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (random_grid(field, n, L, w - L, rng),
+            random_grid(field, n, L, w - L, rng))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_grid_pairs(), st.complex_numbers(max_magnitude=4),
+       st.complex_numbers(max_magnitude=4))
+def test_transform_properties(pair, a, b):
+    f, g = pair
+    fh, gh = fourier_transform(f), fourier_transform(g)
+    # involution F(F g) = g(-x)
+    assert np.max(np.abs(fourier_transform(gh).values
+                         - reflect(g).values)) < 1e-12
+    # Parseval
+    assert abs(l2_norm(gh) - l2_norm(g)) < 1e-12 * max(1.0, l2_norm(g))
+    # linearity
+    lin = fourier_transform(f.scale(a) + g.scale(b)).values
+    scale = 1.0 + abs(a) * np.max(np.abs(fh.values)) \
+        + abs(b) * np.max(np.abs(gh.values))
+    assert np.max(np.abs(lin - (a * fh.values + b * gh.values))) \
+        < 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["Qp", "LaurentFp"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_axis_tables_match_per_index_definitions(kind, p):
+    for width in range(7):
+        for L in sorted({0, width // 2, width}):
+            m = width - L
+            Q = p ** width
+            neg = _axis_negation(kind, p, L, m)
+            exps = _axis_norm_exps(kind, p, L, m)
+            assert neg.shape == exps.shape == (Q,)
+            for i in range(Q):
+                d = _axis_digits(i, p, width)
+                if kind == "Qp":
+                    assert neg[i] == (Q - i) % Q
+                else:
+                    assert neg[i] == sum((-x) % p * p ** t
+                                         for t, x in enumerate(d))
+                if i == 0:
+                    assert exps[i] < -10 ** 8
+                else:
+                    v = next(t for t, x in enumerate(d) if x)
+                    assert exps[i] == L - v
 
 
 def test_ft_unit_ball_fixed_point():
@@ -324,3 +402,29 @@ def test_power_integral_divergence_guard():
     g = GridFunction.indicator_ball(F3, 1, 0, L=1, m=1)
     with pytest.raises(DivergentIntegral):
         power_integral(g, [-1.2])
+
+
+def _one_entry_grid(field, n, L, m, coset, re=1.0):
+    return {"field": field.to_json(), "n": n, "L": L, "m": m,
+            "values": [{"coset": coset, "re": re, "im": 0.0}]}
+
+
+@pytest.mark.parametrize("obj", [
+    # digit 7 is not a base-3 digit
+    _one_entry_grid(Qp(3), 1, 1, 1, [[7, 0]]),
+    # three digits on a two-digit axis
+    _one_entry_grid(Qp(3), 1, 1, 1, [[1, 0, 2]]),
+    _one_entry_grid(LaurentFp(3), 1, 1, 1, [[1]]),
+    # NaN and infinite values
+    _one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]], re=float("nan")),
+    _one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]], re=float("inf")),
+    # one coordinate on an n = 2 grid
+    _one_entry_grid(Qp(3), 2, 1, 1, [[1, 0]]),
+    # malformed digits and values
+    _one_entry_grid(Qp(3), 1, 1, 1, [[1.0, 0]]),
+    _one_entry_grid(Qp(3), 1, 1, 1, [1]),
+    _one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]], re="1"),
+])
+def test_grid_json_rejects_bad_cosets(obj):
+    with pytest.raises(ValueError):
+        GridFunction.from_json(obj)
