@@ -47,6 +47,15 @@ def write_report(report: dict, path):
             fh.write(text)
 
 
+def _write_payload(payload: dict, path):
+    """Write a grid payload as one line of JSON.  ``json.dumps`` runs the C
+    encoder; ``json.dump`` to a file would run the pure-Python one."""
+    text = json.dumps(payload, sort_keys=True, default=_json_default)
+    with open(path, "w") as fh:
+        fh.write(text)
+        fh.write("\n")
+
+
 def _load_element(args, which) -> LocalFieldElement:
     inline = getattr(args, which)
     fname = getattr(args, f"{which}_file", None)
@@ -96,10 +105,7 @@ def cmd_fourier(args):
     if args.inverse:
         from .grid import reflect
         gh = reflect(gh)
-    with open(args.output, "w") as fh:
-        json.dump(gh.to_json(dense=args.dense), fh, sort_keys=True,
-                  default=_json_default)
-        fh.write("\n")
+    _write_payload(gh.to_json(dense=args.dense), args.output)
     return {"command": "fourier", "config": _cfg(args, ["input", "output",
                                                         "inverse", "dense"]),
             "results": {"L": gh.L, "m": gh.m,
@@ -211,9 +217,7 @@ def cmd_op_apply(args):
                "multipliers": [{"poly": repr(m.poly),
                                 "alpha": complex(m.alpha)}
                                for m in T.multipliers]}
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    _write_payload(payload, args.output)
     norms = {}
     for l in args.norms or []:
         val, tail = sobolev_norm_with_tail(T, l)

@@ -204,13 +204,18 @@ class GridFunction:
     def to_json(self, dense=False) -> dict:
         q = self.field.q
         width = self.L + self.m
-        vals = []
-        for idx in np.ndindex(*self.values.shape):
-            v = complex(self.values[idx])
-            if not dense and v == 0:
-                continue
-            vals.append({"coset": [_axis_digits(i, q, width) for i in idx],
-                         "re": v.real, "im": v.imag})
+        flat = self.as_complex().reshape(-1)
+        keep = np.arange(flat.size) if dense else np.flatnonzero(flat)
+        axes = np.unravel_index(keep, self.values.shape) if self.n else ()
+        coords = np.array(axes, dtype=np.int64).reshape(self.n, keep.size).T
+        # digits[k, axis, t]: digit t of kept cell k, least significant first
+        digits = np.empty(coords.shape + (width,), dtype=np.min_scalar_type(q))
+        for t in range(width):
+            digits[..., t] = coords % q
+            coords = coords // q
+        vals = [{"coset": c, "re": re, "im": im}
+                for c, re, im in zip(digits.tolist(), flat.real[keep].tolist(),
+                                     flat.imag[keep].tolist())]
         return {"field": self.field.to_json(), "n": self.n,
                 "L": self.L, "m": self.m, "values": vals}
 

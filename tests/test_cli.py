@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from ultrazeta.cli import main
-from ultrazeta.grid import GridFunction, random_grid
+from ultrazeta.grid import GridFunction, fourier_transform, random_grid
 from ultrazeta.localfield import Qp
 
 
@@ -70,6 +71,16 @@ def test_fourier_roundtrip(tmp_path, grid_file):
     g = GridFunction.from_json(json.loads(open(grid_file).read()))
     g2 = GridFunction.from_json(json.loads(back.read_text()))
     assert np.max(np.abs(g.values - g2.values)) < 1e-12
+
+
+def test_fourier_output_matches_json_dump(tmp_path, grid_file):
+    out = tmp_path / "gh.json"
+    assert main(["fourier", "--input", grid_file, "--output",
+                 str(out)]) == 0
+    g = GridFunction.from_json(json.loads(open(grid_file).read()))
+    want = io.StringIO()
+    json.dump(fourier_transform(g).to_json(), want, sort_keys=True)
+    assert out.read_text() == want.getvalue() + "\n"
 
 
 def test_field_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -402,6 +403,39 @@ def test_power_integral_divergence_guard():
     g = GridFunction.indicator_ball(F3, 1, 0, L=1, m=1)
     with pytest.raises(DivergentIntegral):
         power_integral(g, [-1.2])
+
+
+def _per_cell_json_values(g, dense):
+    """The payload's "values" by its per-cell definition."""
+    out = []
+    for idx in np.ndindex(*g.values.shape):
+        v = complex(g.values[idx])
+        if dense or v != 0:
+            out.append({"coset": [_axis_digits(i, g.field.q, g.L + g.m)
+                                  for i in idx],
+                        "re": v.real, "im": v.imag})
+    return out
+
+
+@pytest.mark.parametrize("field", [Qp(2), Qp(3), LaurentFp(3)])
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("dense", [False, True])
+def test_grid_json_matches_per_cell_definition(field, n, dense):
+    rng = np.random.default_rng(15)
+    for L, m in [(0, 0), (1, 1), (2, 0)]:
+        g = random_grid(field, n, L, m, rng)
+        flat = g.values.reshape(-1)
+        flat[::2] = 0
+        flat[1::4] = complex(-0.0, 0.0)
+        if flat.size > 3:
+            flat[3] = complex(math.nan, 1.0)
+        got = g.to_json(dense=dense)
+        assert json.dumps(got["values"]) == \
+            json.dumps(_per_cell_json_values(g, dense))
+        assert (got["n"], got["L"], got["m"]) == (n, L, m)
+    exact = GridFunction.indicator_ball(field, n, 0, L=1, m=1, exact=True)
+    assert exact.to_json(dense=dense)["values"] == \
+        _per_cell_json_values(exact, dense)
 
 
 def _one_entry_grid(field, n, L, m, coset, re=1.0):
