@@ -167,32 +167,37 @@ def division_check(f: IntPolynomial, field: FieldSpec, L: int = 2,
     E-hat(xi) = |f(xi)|^{-1} uses the per-axis norm tables; |f(xi)| is
     recomputed independently through truncated element arithmetic at the
     representative.  The exact-rational product must be literally 1.
+    Cells run in ``np.ndindex`` order; each axis element is built once,
+    and the product c x_1^{N_1} ... over the leading axes is shared by
+    every cell below it, multiplied in the same order as for one cell.
     """
-    from .grid import _axis_digits, _axis_norm_exps
+    from .grid import _axis_norm_exps
 
     c, exps = _monomial_exponents(f)
     q = field.q
-    fexp = _axis_norm_exps(field.kind, q, L, m)
+    n = f.n
+    Q = q ** (L + m)
+    fexp = _axis_norm_exps(field.kind, q, L, m).tolist()
+    elems = [_element_from_rep(field, None, L, m, i) for i in range(Q)]
+    qf = Fraction(q)
     rep = CheckReport("division", 0, 0.0)
-    count = 0
-    for idx in np.ndindex(*(q ** (L + m),) * f.n):
-        if any(exps[ax] > 0 and idx[ax] == 0 for ax in range(f.n)):
-            continue  # cell meets the zero set
-        # route 1: axis tables
-        ehat = Fraction(q) ** (_coeff_ord_q(field, c) + sum(
-            -int(fexp[idx[ax]]) * exps[ax] for ax in range(f.n)))
-        # route 2: element arithmetic at the representative
-        fv = _element_from_rep(field, c, L, m, None)
-        for ax in range(f.n):
-            if exps[ax] == 0:
-                continue
-            xi = _element_from_rep(field, None, L, m, idx[ax])
-            for _ in range(exps[ax]):
-                fv = fv * xi
-        count += 1
-        if ehat * fv.norm() != 1:
-            rep.failures.append({"cell": tuple(int(i) for i in idx)})
-    rep.trials = count
+
+    def walk(ax, idx, fv, ehat_exp):
+        if ax == n:
+            # route 1 (axis tables) against route 2 (element arithmetic)
+            rep.trials += 1
+            if qf ** ehat_exp * fv.norm() != 1:
+                rep.failures.append({"cell": idx})
+            return
+        N = exps[ax]
+        for i in range(1 if N > 0 else 0, Q):  # index 0 meets the zero set
+            g = fv
+            for _ in range(N):
+                g = g * elems[i]
+            walk(ax + 1, idx + (i,), g, ehat_exp - fexp[i] * N)
+
+    walk(0, (), _element_from_rep(field, c, L, m, None),
+         _coeff_ord_q(field, c))
     return rep
 
 

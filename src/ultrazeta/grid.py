@@ -222,16 +222,20 @@ class GridFunction:
     @staticmethod
     def from_json(obj: dict) -> "GridFunction":
         """Inverse of ``to_json``; a coset needs n digit vectors of L+m
-        digits in 0..p-1 and a finite value, or ValueError is raised."""
+        digits in 0..p-1, a finite value and no earlier entry, or
+        ValueError is raised."""
         field = FieldSpec.from_json(obj["field"])
         n, L, m = int(obj["n"]), int(obj["L"]), int(obj["m"])
         g = GridFunction.zeros(field, n, L, m)
         q, width = field.q, L + m
+        Q = q ** width
+        flat_values = g.values.reshape(-1)  # a view, row-major
+        seen = set()
         for entry in obj["values"]:
             coset = entry["coset"]
             if not isinstance(coset, list) or len(coset) != n:
                 raise ValueError(f"coset {coset!r} needs {n} digit vectors")
-            idx = []
+            flat = 0
             for digits in coset:
                 if not isinstance(digits, list) or len(digits) != width:
                     raise ValueError(f"coset {coset!r} needs {width} "
@@ -242,7 +246,7 @@ class GridFunction:
                         raise ValueError(f"coset {coset!r} has a digit "
                                          f"outside 0..{q - 1}")
                     acc = acc * q + d
-                idx.append(acc)
+                flat = flat * Q + acc
             try:
                 val = complex(entry["re"], entry.get("im", 0.0))
             except TypeError:
@@ -250,7 +254,10 @@ class GridFunction:
                                  f"number") from None
             if not cmath.isfinite(val):
                 raise ValueError(f"value of coset {coset!r} is not finite")
-            g.values[tuple(idx)] = val
+            if flat in seen:
+                raise ValueError(f"coset {coset!r} is listed twice")
+            seen.add(flat)
+            flat_values[flat] = val
         return g
 
 

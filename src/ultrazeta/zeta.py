@@ -5,9 +5,12 @@ integrals, pole prediction, and the heat-kernel evaluator.
 The series engine counts residues mod p^{k+1} with early pruning and two
 closure rules that keep desk-scale depths reachable: unit-gradient cells
 close with a geometric valuation tail (the pushforward of Haar measure
-under a submersion is Haar), and for homogeneous f the origin cell closes
-by self-similarity f(pi x) = pi^d f(x).  Plain enumeration stays available
-as ``method="brute"`` and is the oracle the closures are tested against.
+under a submersion is Haar), and for weighted (quasi-homogeneous) f the
+box prod pi^{w_i} R_K closes by self-similarity
+f(pi^{w_1} x_1, ..., pi^{w_n} x_n) = pi^d f(x), which adds q^{-|w|} t^d Z;
+w = (1, ..., 1) is the homogeneous case.  Plain enumeration stays
+available as ``method="brute"`` and is the oracle the closures are tested
+against.
 """
 
 from __future__ import annotations
@@ -212,16 +215,22 @@ def _igusa_lift(f, field, K, budget):
     q = field.q
     n = f.n
     base = [Fraction(0)] * (K + 1)
-    homdeg = f.degree() if f.is_homogeneous() else None
+    weights = _self_similarity_weights(f)
+    if weights is not None:
+        w, wdeg = weights
+        wtop = max(w)
     grads = f.gradient()
     spent = 0
     if field.kind == "Qp":
         open_cells = [(0,) * n]
     else:
         open_cells = [((),) * n]
-    zero_closed = False
     qfr = Fraction(q)
     for k in range(K + 1):
+        # digits of each coordinate that vanish on the box prod pi^{w_i} R_K
+        box = None
+        if weights is not None and k < wtop:
+            box = tuple(min(wi, k + 1) for wi in w)
         new_open = []
         survivors = 0
         for cell in open_cells:
@@ -233,10 +242,12 @@ def _igusa_lift(f, field, K, budget):
                 if not _vanishes_mod(f, field, child, k + 1):
                     continue
                 survivors += 1
-                if homdeg is not None and not zero_closed \
-                        and _is_zero_residue(field, child):
-                    zero_closed = True
-                    continue  # closed by self-similarity afterwards
+                if box is not None and _meets_box(field, child, box):
+                    if k + 1 == wtop:
+                        continue  # inside the box: repaid afterwards
+                    # straddles the box: a closure would count it twice
+                    new_open.append(child)
+                    continue
                 closure = _cell_closure(f, grads, field, child, k + 1)
                 if closure is None:
                     new_open.append(child)
@@ -248,20 +259,64 @@ def _igusa_lift(f, field, K, budget):
                         base[lvl] += qfr ** (-n * (k + 1))
                     continue
                 # uniform pushforward: geometric tail from level lvl
-                w = qfr ** (-n * (k + 1)) * (1 - 1 / qfr)
+                wt = qfr ** (-n * (k + 1)) * (1 - 1 / qfr)
                 for j in range(lvl, K + 1):
-                    base[j] += w * qfr ** (-(j - lvl))
+                    base[j] += wt * qfr ** (-(j - lvl))
         total_children = len(open_cells) * q ** n
         base[k] += (total_children - survivors) * qfr ** (-n * (k + 1))
         open_cells = new_open
-    if homdeg is None or not zero_closed:
+    if weights is None:
         return base
-    # origin cell: f(pi x) = pi^d f(x) gives c_K += q^{-n} c_{K-d}
+    # the box: f(pi^w x) = pi^d f(x) gives c_k += q^{-|w|} c_{k-d}
     out = list(base)
-    for j in range(K + 1):
-        if j - homdeg >= 0:
-            out[j] += qfr ** (-n) * out[j - homdeg]
+    for j in range(wdeg, K + 1):
+        out[j] += qfr ** (-sum(w)) * out[j - wdeg]
     return out
+
+
+def _self_similarity_weights(f):
+    """Positive integer weights w and a degree d with <w, a> = d for every
+    exponent a of f, or None.
+
+    w = (1, ..., 1) for homogeneous f; otherwise the primitive vector
+    spanning the kernel of the exponent differences, when that kernel is
+    a line through the positive orthant.  Every variable then occurs in
+    f, so d >= max w: f vanishes mod pi^{k+1} on every cell that meets
+    the box at level k, and the box is reached before its cells close.
+    """
+    exps = [e for e, _ in f.terms]
+    n = f.n
+    if f.is_homogeneous():
+        return (1,) * n, f.degree()
+    rows = [[Fraction(a - b) for a, b in zip(e, exps[0])] for e in exps[1:]]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    free = [col for col in range(n) if col not in pivots]
+    if len(free) != 1:
+        return None
+    kernel = [Fraction(0)] * n
+    kernel[free[0]] = Fraction(1)
+    for r, col in enumerate(pivots):
+        kernel[col] = -rows[r][free[0]]
+    scale = math.lcm(*(x.denominator for x in kernel))
+    ints = [int(x * scale) for x in kernel]
+    g = math.gcd(*ints)
+    w = tuple(x // g for x in ints)
+    if all(x < 0 for x in w):
+        w = tuple(-x for x in w)
+    if not all(x > 0 for x in w):
+        return None
+    return w, sum(wi * ai for wi, ai in zip(w, exps[0]))
 
 
 def _cell_children(cell, field, level):
@@ -282,10 +337,11 @@ def _vanishes_mod(f, field, point, k):
     return not any(f.eval_fpt(point, field.q, k))
 
 
-def _is_zero_residue(field, point):
+def _meets_box(field, point, widths):
+    """Whether the leading widths[i] digits of every coordinate vanish."""
     if field.kind == "Qp":
-        return all(c == 0 for c in point)
-    return all(all(d == 0 for d in c) for c in point)
+        return all(c % field.q ** wi == 0 for c, wi in zip(point, widths))
+    return all(not any(c[:wi]) for c, wi in zip(point, widths))
 
 
 def _int_ord_capped(x: int, p: int, cap: int):

@@ -143,3 +143,15 @@ def test_fourier_bad_grid_exits_two(tmp_path, coset, re):
                str(tmp_path / "out.json")])
     assert rc == 2
     assert not (tmp_path / "out.json").exists()
+
+
+def test_fourier_duplicate_coset_exits_two(tmp_path):
+    src = tmp_path / "dup.json"
+    src.write_text(json.dumps({
+        "field": {"kind": "Qp", "p": 3}, "n": 1, "L": 1, "m": 1,
+        "values": [{"coset": [[1, 0]], "re": 1.0, "im": 0.0},
+                   {"coset": [[1, 0]], "re": 5.0, "im": 0.0}]}))
+    rc = main(["fourier", "--input", str(src), "--output",
+               str(tmp_path / "out.json")])
+    assert rc == 2
+    assert not (tmp_path / "out.json").exists()

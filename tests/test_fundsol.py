@@ -13,7 +13,7 @@ from ultrazeta.fundsol import (convolution_check, delta_identity_check,
                                zeta_exact_in_t)
 from ultrazeta.grid import GridFunction, fourier_transform, random_grid
 from ultrazeta.intpoly import parse_polynomial
-from ultrazeta.localfield import LaurentFp, Qp
+from ultrazeta.localfield import LaurentFp, LocalFieldElement, Qp
 from ultrazeta.ratfunc import LambdaPoly
 from ultrazeta.zeta import monomial_zeta_closed
 
@@ -150,3 +150,48 @@ def test_laurent_field_support():
     gh = GridFunction.indicator_ball(f3t, 1, 0, exact=True)
     assert extract_T0(gh, XI, side="frequency") == Fraction(1, 3)
     assert division_check(XI, f3t).passed
+
+
+def _division_oracle(f, field, L=2, m=2):
+    """division_check by its per-cell definition: every cell off the zero
+    set builds its elements and its product afresh."""
+    c, exps = f.monomial_profile()
+    q, width = field.q, L + m
+    vc = 0
+    while field.kind == "Qp" and c % q ** (vc + 1) == 0:
+        vc += 1
+    trials, failures = 0, []
+    for idx in np.ndindex(*(q ** width,) * f.n):
+        if any(e > 0 and i == 0 for e, i in zip(exps, idx)):
+            continue
+        fv = LocalFieldElement.from_int(field, c) if field.kind == "Qp" \
+            else LocalFieldElement.from_rational(field, c)
+        ehat = vc
+        for i, e in zip(idx, exps):
+            if e == 0:
+                continue
+            digits = [i // q ** t % q for t in range(width)]
+            # |rep| = q^{L - t} at the first nonzero digit t
+            ehat -= e * (L - next(t for t, d in enumerate(digits) if d))
+            if field.kind == "Qp":
+                xi = LocalFieldElement.from_digits(field, -L, digits)
+            else:
+                xi = LocalFieldElement.from_laurent_coeffs(
+                    field, {t - L: d for t, d in enumerate(digits)})
+            for _ in range(e):
+                fv = fv * xi
+        trials += 1
+        if Fraction(q) ** ehat * fv.norm() != 1:
+            failures.append({"cell": tuple(int(i) for i in idx)})
+    return trials, failures
+
+
+@pytest.mark.parametrize("field", [F3, LaurentFp(3)], ids=["Q3", "F3T"])
+@pytest.mark.parametrize("text, n", [("x1*x2", 2), ("x1^2*x2", 2),
+                                     ("x1", 1)])
+def test_division_check_matches_per_cell_definition(field, text, n):
+    f = parse_polynomial(text, n)
+    rep = division_check(f, field)
+    trials, failures = _division_oracle(f, field)
+    assert (rep.trials, rep.failures, rep.passed) \
+        == (trials, failures, not failures)

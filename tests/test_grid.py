@@ -462,3 +462,15 @@ def _one_entry_grid(field, n, L, m, coset, re=1.0):
 def test_grid_json_rejects_bad_cosets(obj):
     with pytest.raises(ValueError):
         GridFunction.from_json(obj)
+
+
+def test_grid_json_rejects_duplicate_coset():
+    obj = _one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]])
+    obj["values"].append({"coset": [[1, 0]], "re": 5.0, "im": 0.0})
+    with pytest.raises(ValueError, match="twice"):
+        GridFunction.from_json(obj)
+    # the n = 0 grid that to_json emits stays valid: one cell, listed once
+    g = GridFunction.zeros(Qp(3), 0, 1, 1)
+    g.values[()] = 2.0
+    back = GridFunction.from_json(json.loads(json.dumps(g.to_json())))
+    assert back.n == 0 and complex(back.values[()]) == 2.0

@@ -1,17 +1,20 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrazeta.errors import (BudgetExceeded, DivergentIntegral,
                               NondegeneracyFailed, PoleProximity)
 from ultrazeta.grid import GridFunction, inverse_fourier_transform, \
     power_integral, random_grid
-from ultrazeta.intpoly import parse_polynomial
+from ultrazeta.intpoly import IntPolynomial, parse_polynomial
 from ultrazeta.localfield import LaurentFp, Qp
 from ultrazeta.pdo import GammaFactor, vladimirov
-from ultrazeta.ratfunc import laurent_at
+from ultrazeta.ratfunc import Poly, RationalFunctionT, laurent_at, \
+    reconstruct_from_series
 from ultrazeta.zeta import (GeneralizedProgression, HeatKernel,
                             HinfZetaEngine, ResolutionData,
                             check_strong_nondegeneracy, elementary_integral,
@@ -19,6 +22,7 @@ from ultrazeta.zeta import (GeneralizedProgression, HeatKernel,
                             locate_real_poles, mixed_integral,
                             monomial_zeta_closed, predict_poles,
                             snc_form_Z0, snc_pole_progressions)
+from ultrazeta.zeta import _self_similarity_weights
 
 F3 = Qp(3)
 F5 = Qp(5)
@@ -139,6 +143,114 @@ def test_igusa_budget():
     f = parse_polynomial("x1^2+x2^2", 2)
     with pytest.raises(BudgetExceeded):
         igusa_series(f, F5, 8, method="brute", budget=10 ** 4)
+
+
+CUSP = parse_polynomial("x1^2-x2^3", 2)
+
+
+@pytest.mark.parametrize("text, n, expected", [
+    ("x1^2+x2^2", 2, ((1, 1), 2)),
+    ("x1^2*x2", 2, ((1, 1), 3)),
+    ("x1^2-x2^3", 2, ((3, 2), 6)),
+    ("x1^2*x2-x2^4", 2, ((3, 2), 8)),
+    ("x1+x2^2", 2, ((2, 1), 2)),
+    ("x1^4+x1^2*x2+x2^2", 2, ((1, 2), 4)),
+    ("x1^2+x2^3+x3^6", 3, ((3, 2, 1), 6)),
+    ("x1^2+x1*x2+x2^3", 2, None),  # exponents span the plane
+    ("x1^2+x2^3+3", 2, None),       # a constant term has degree 0
+    ("x1^2-x2^3", 3, None),         # x3 is free: the kernel is a plane
+    ("x1^2*x2+x1", 2, None),        # kernel (1, -1) leaves the orthant
+])
+def test_self_similarity_weights(text, n, expected):
+    assert _self_similarity_weights(parse_polynomial(text, n)) == expected
+
+
+_SMALL_EXPONENTS = {n: [e for e in itertools.product(range(5), repeat=n)
+                        if 0 < sum(e) <= 4] for n in (1, 2)}
+
+
+@st.composite
+def _lift_cases(draw):
+    """(f, field, K, weighted): three in four f are weighted-homogeneous
+    binomials or trinomials, so the box closure fires; the rest are
+    arbitrary polynomials in one or two variables of degree <= 4."""
+    kind = draw(st.sampled_from(["Qp", "LaurentFp"]))
+    p = draw(st.sampled_from([2, 3, 5] if kind == "Qp" else [2, 3]))
+    field = Qp(p) if kind == "Qp" else LaurentFp(p)
+    weighted = draw(st.integers(0, 3)) > 0
+    if weighted:
+        n = 2
+        w = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        groups = {}
+        for e in _SMALL_EXPONENTS[2]:
+            groups.setdefault(w[0] * e[0] + w[1] * e[1], []).append(e)
+        shared = [g for _, g in sorted(groups.items()) if len(g) > 1]
+        group = draw(st.sampled_from(shared))
+        exps = draw(st.lists(st.sampled_from(group), min_size=2,
+                             max_size=3, unique=True))
+    else:
+        n = draw(st.integers(1, 2))
+        exps = draw(st.lists(st.sampled_from(_SMALL_EXPONENTS[n]),
+                             min_size=1, max_size=4, unique=True))
+    f = IntPolynomial.make(
+        n, {e: draw(st.integers(-4, 4).filter(bool)) for e in exps})
+    # brute force enumerates q^{n(K+1)} points
+    limit = 10 ** 5 if kind == "Qp" else 2 * 10 ** 4
+    kmax = 0
+    while p ** (n * (kmax + 2)) <= limit:
+        kmax += 1
+    return f, field, draw(st.integers(0, kmax)), weighted
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_lift_cases())
+def test_lift_matches_brute(case):
+    f, field, K, weighted = case
+    if weighted:
+        assert _self_similarity_weights(f) is not None
+    lift = igusa_series(f, field, K, method="lift")
+    brute = igusa_series(f, field, K, method="brute")
+    assert lift.coeffs == brute.coeffs
+
+
+def _cusp_denominator(q):
+    """(1 - t/q)(1 - q^-5 t^6): the candidate poles -1 and -5/6."""
+    qf = Fraction(q)
+    return Poly([Fraction(1), -1 / qf]) \
+        * Poly([Fraction(1), 0, 0, 0, 0, 0, -qf ** -5])
+
+
+def _cusp_closed_form(q, terms):
+    """Igusa's Z(s, x1^2 - x2^3) over Z_q: (1 - 1/q)(1 - q^-2 t + q^-2 t^2
+    - q^-5 t^5) over the candidate-pole denominator."""
+    qf = Fraction(q)
+    num = Poly([(1 - 1 / qf) * c for c in
+                (1, -qf ** -2, qf ** -2, 0, 0, -qf ** -5)])
+    return RationalFunctionT.make(num, _cusp_denominator(q), q).series(terms)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_cusp_poles_from_lift(p):
+    s = igusa_series(CUSP, Qp(p), 18, method="lift")
+    assert list(s.coeffs) == _cusp_closed_form(p, 19)
+    R = reconstruct_from_series(s.coeffs, (6, 7), p)
+    assert _cusp_denominator(p).divmod(R.den)[1].is_zero
+
+
+def test_weighted_closure_keeps_lift_small():
+    # the self-similar box closes the quasi-homogeneous frontier, so deep
+    # series stay within a small budget of children
+    cusp = igusa_series(CUSP, F3, 18, method="lift", budget=10_000)
+    assert list(cusp.coeffs) == _cusp_closed_form(3, 19)
+    f = parse_polynomial("x1^2*x2-x2^4", 2)
+    deep = igusa_series(f, F3, 12, method="lift", budget=10_000)
+    brute = igusa_series(f, F3, 4, method="brute")
+    assert deep.coeffs[:5] == brute.coeffs
+    # x1^2 x2 is homogeneous, but singular along the x2-axis: the box
+    # leaves that frontier open
+    with pytest.raises(BudgetExceeded, match="level"):
+        igusa_series(parse_polynomial("x1^2*x2", 2), F3, 10,
+                     method="lift", budget=10_000)
 
 
 def test_monomial_closed_examples():
