@@ -7,7 +7,8 @@ closure rules that keep desk-scale depths reachable: unit-gradient cells
 close with a geometric valuation tail (the pushforward of Haar measure
 under a submersion is Haar), and for weighted (quasi-homogeneous) f the
 box prod pi^{w_i} R_K closes by self-similarity
-f(pi^{w_1} x_1, ..., pi^{w_n} x_n) = pi^d f(x), which adds q^{-|w|} t^d Z;
+f(pi^{w_1} x_1, ..., pi^{w_n} x_n) = pi^d f(x), which adds q^{-|w|} t^d Z,
+unless the first rule already closes the cells around the box;
 w = (1, ..., 1) is the homogeneous case.  Plain enumeration stays
 available as ``method="brute"`` and is the oracle the closures are tested
 against.
@@ -28,7 +29,8 @@ from .errors import AmbiguousSolution, BudgetExceeded, DivergentIntegral, \
 from .grid import GridFunction, fourier_transform, power_integral
 from .intpoly import IntPolynomial
 from .localfield import FieldSpec, Qp
-from .ratfunc import Poly, RationalFunctionT, reconstruct_from_series
+from .ratfunc import Poly, RationalFunctionT, _solve_exact, \
+    reconstruct_from_series
 
 
 # -- zeta series --------------------------------------------------------------
@@ -278,45 +280,38 @@ def _self_similarity_weights(f):
     """Positive integer weights w and a degree d with <w, a> = d for every
     exponent a of f, or None.
 
-    w = (1, ..., 1) for homogeneous f; otherwise the primitive vector
-    spanning the kernel of the exponent differences, when that kernel is
-    a line through the positive orthant.  Every variable then occurs in
-    f, so d >= max w: f vanishes mod pi^{k+1} on every cell that meets
-    the box at level k, and the box is reached before its cells close.
+    w = (1, ..., 1) for homogeneous f; otherwise the primitive solution of
+    <w, a> = 1 over the exponents, when it is unique and positive.  Every
+    variable then occurs in f, so f vanishes mod pi^{k+1} on every cell
+    that meets the box at level k.  Cells that straddle the box stay open
+    below level max w, so the weights are kept only when the Hensel rule
+    could not close a straddling cell either: every monomial b of every
+    partial derivative has <w, b> >= max w - 1 or a variable of top
+    weight.  The lift then opens a subset of the cells it opens without
+    the box; a linear term (b = 0) always fails, as f is smooth there.
     """
     exps = [e for e, _ in f.terms]
     n = f.n
     if f.is_homogeneous():
         return (1,) * n, f.degree()
-    rows = [[Fraction(a - b) for a, b in zip(e, exps[0])] for e in exps[1:]]
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                rows[i] = [a - row[col] * b for a, b in zip(row, rows[r])]
-        pivots.append(col)
-    free = [col for col in range(n) if col not in pivots]
-    if len(free) != 1:
+    sol, determined = _solve_exact([list(e) for e in exps], [1] * len(exps))
+    if sol is None or not determined or not all(x > 0 for x in sol):
         return None
-    kernel = [Fraction(0)] * n
-    kernel[free[0]] = Fraction(1)
-    for r, col in enumerate(pivots):
-        kernel[col] = -rows[r][free[0]]
-    scale = math.lcm(*(x.denominator for x in kernel))
-    ints = [int(x * scale) for x in kernel]
+    scale = math.lcm(*(x.denominator for x in sol))
+    ints = [int(x * scale) for x in sol]
     g = math.gcd(*ints)
     w = tuple(x // g for x in ints)
-    if all(x < 0 for x in w):
-        w = tuple(-x for x in w)
-    if not all(x > 0 for x in w):
-        return None
-    return w, sum(wi * ai for wi, ai in zip(w, exps[0]))
+    d = scale // g
+    top = max(w)
+    for a in exps:
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            b = a[:i] + (ai - 1,) + a[i + 1:]
+            if d - w[i] < top - 1 and \
+                    not any(bj and wj == top for bj, wj in zip(b, w)):
+                return None
+    return w, d
 
 
 def _cell_children(cell, field, level):

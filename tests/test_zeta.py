@@ -153,7 +153,9 @@ CUSP = parse_polynomial("x1^2-x2^3", 2)
     ("x1^2*x2", 2, ((1, 1), 3)),
     ("x1^2-x2^3", 2, ((3, 2), 6)),
     ("x1^2*x2-x2^4", 2, ((3, 2), 8)),
-    ("x1+x2^2", 2, ((2, 1), 2)),
+    ("x1+x2^2", 2, None),           # smooth at 0: Hensel closes it
+    ("x1*x2+x2^4", 2, None),        # d/dx1 = x2 closes straddling cells
+    ("x1^2+x1*x2^3", 2, ((3, 1), 6)),
     ("x1^4+x1^2*x2+x2^2", 2, ((1, 2), 4)),
     ("x1^2+x2^3+x3^6", 3, ((3, 2, 1), 6)),
     ("x1^2+x1*x2+x2^3", 2, None),  # exponents span the plane
@@ -172,8 +174,10 @@ _SMALL_EXPONENTS = {n: [e for e in itertools.product(range(5), repeat=n)
 @st.composite
 def _lift_cases(draw):
     """(f, field, K, weighted): three in four f are weighted-homogeneous
-    binomials or trinomials, so the box closure fires; the rest are
-    arbitrary polynomials in one or two variables of degree <= 4."""
+    binomials or trinomials, with weighted = (w, d) their primitive
+    weights and degree, so the box closure mostly fires; the rest are
+    arbitrary polynomials in one or two variables of degree <= 4 and
+    weighted = None."""
     kind = draw(st.sampled_from(["Qp", "LaurentFp"]))
     p = draw(st.sampled_from([2, 3, 5] if kind == "Qp" else [2, 3]))
     field = Qp(p) if kind == "Qp" else LaurentFp(p)
@@ -194,6 +198,10 @@ def _lift_cases(draw):
                              min_size=1, max_size=4, unique=True))
     f = IntPolynomial.make(
         n, {e: draw(st.integers(-4, 4).filter(bool)) for e in exps})
+    if weighted:
+        g = math.gcd(*w)
+        weighted = tuple(x // g for x in w), \
+            (w[0] * exps[0][0] + w[1] * exps[0][1]) // g
     # brute force enumerates q^{n(K+1)} points
     limit = 10 ** 5 if kind == "Qp" else 2 * 10 ** 4
     kmax = 0
@@ -207,10 +215,55 @@ def _lift_cases(draw):
 def test_lift_matches_brute(case):
     f, field, K, weighted = case
     if weighted:
-        assert _self_similarity_weights(f) is not None
+        assert _self_similarity_weights(f) in (weighted, None)
     lift = igusa_series(f, field, K, method="lift")
     brute = igusa_series(f, field, K, method="brute")
     assert lift.coeffs == brute.coeffs
+
+
+def _weighted_exponent_sets():
+    """Every exponent set the weighted branch of _lift_cases draws, with
+    its primitive weights and degree."""
+    for w in itertools.product(range(1, 4), repeat=2):
+        g = math.gcd(*w)
+        groups = {}
+        for e in _SMALL_EXPONENTS[2]:
+            groups.setdefault(w[0] * e[0] + w[1] * e[1], []).append(e)
+        for deg, group in groups.items():
+            for size in (2, 3):
+                for exps in itertools.combinations(group, size):
+                    yield exps, (tuple(x // g for x in w), deg // g)
+
+
+def test_weighted_exponent_sets_mostly_close():
+    refused = set()
+    for exps, expected in _weighted_exponent_sets():
+        got = _self_similarity_weights(
+            IntPolynomial.make(2, {e: 1 for e in exps}))
+        if got is None:
+            refused.add(frozenset(exps))
+        else:
+            assert got == expected
+    # five have a linear term; in x1*x2 + x1^4 (w = (1, 3)) d/dx2 = x1
+    # has order 1 on the cells that straddle the box at level 2
+    assert refused == {frozenset(s) for s in [
+        ((0, 1), (2, 0)), ((0, 1), (3, 0)), ((1, 0), (0, 2)),
+        ((1, 0), (0, 3)), ((1, 1), (4, 0)), ((1, 1), (0, 4))]}
+
+
+@pytest.mark.parametrize("field", [F3, LaurentFp(3)], ids=["Q3", "F3T"])
+def test_weighted_closure_leaves_hensel_cells_to_hensel(field):
+    # the Hensel rule closes the cells near 0 of x1 + x2^16, which is
+    # smooth, and of x1*x2 + x2^16, whose d/dx1 = x2 has weight 1; the
+    # box (16, 1) or (15, 1) would keep q^k of them open at level k
+    smooth = igusa_series(parse_polynomial("x1+x2^16", 2), field, 13,
+                          method="lift", budget=10_000)
+    assert list(smooth.coeffs) == monomial_zeta_closed([1], q=3).series(14)
+    # (x1, x2) -> (x1 + x2^15, x2) keeps Haar measure: Z = Z(x1 x2)
+    node = igusa_series(parse_polynomial("x1*x2+x2^16", 2), field, 18,
+                        method="lift", budget=10_000)
+    assert list(node.coeffs) == \
+        monomial_zeta_closed([1, 1], q=3).series(19)
 
 
 def _cusp_denominator(q):
