@@ -8,6 +8,7 @@ time goes to stderr so repeated runs stay identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,15 +46,6 @@ def write_report(report: dict, path):
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _write_payload(payload: dict, path):
-    """Write a grid payload as one line of JSON.  ``json.dumps`` runs the C
-    encoder; ``json.dump`` to a file would run the pure-Python one."""
-    text = json.dumps(payload, sort_keys=True, default=_json_default)
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
 
 
 def _load_element(args, which) -> LocalFieldElement:
@@ -105,7 +97,8 @@ def cmd_fourier(args):
     if args.inverse:
         from .grid import reflect
         gh = reflect(gh)
-    _write_payload(gh.to_json(dense=args.dense), args.output)
+    with open(args.output, "w") as fh:
+        fh.writelines([gh.to_json_text(dense=args.dense), "\n"])
     return {"command": "fourier", "config": _cfg(args, ["input", "output",
                                                         "inverse", "dense"]),
             "results": {"L": gh.L, "m": gh.m,
@@ -213,11 +206,14 @@ def cmd_op_apply(args):
     symbols = tuple(_parse_symbol(s, g.n) for s in args.symbol)
     op = pdo.PseudoDiffOp(symbols)
     T = pdo.apply_pseudodiff(op, g)
-    payload = {"base": T.base.to_json(dense=args.dense),
-               "multipliers": [{"poly": repr(m.poly),
-                                "alpha": complex(m.alpha)}
-                               for m in T.multipliers]}
-    _write_payload(payload, args.output)
+    multipliers = json.dumps([{"poly": repr(m.poly),
+                               "alpha": complex(m.alpha)}
+                              for m in T.multipliers],
+                             sort_keys=True, default=_json_default)
+    # the payload {"base": ..., "multipliers": ...} with sorted keys
+    with open(args.output, "w") as fh:
+        fh.writelines(['{"base": ', T.base.to_json_text(dense=args.dense),
+                       ', "multipliers": ', multipliers, "}\n"])
     norms = {}
     for l in args.norms or []:
         val, tail = sobolev_norm_with_tail(T, l)
@@ -256,7 +252,10 @@ def cmd_fundsol(args):
             "results": out}
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` keeps no state from
+    one call to the next, so ``main`` reuses it."""
     ap = argparse.ArgumentParser(
         prog="ultrazeta",
         description="analysis over non-Archimedean local fields: zeta "

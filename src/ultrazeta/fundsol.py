@@ -174,6 +174,9 @@ def division_check(f: IntPolynomial, field: FieldSpec, L: int = 2,
     from .grid import _axis_norm_exps
 
     c, exps = _monomial_exponents(f)
+    vc = _coeff_ord_q(field, c)
+    if vc is None:
+        raise UnsupportedPolynomial("monomial coefficient vanishes")
     q = field.q
     n = f.n
     Q = q ** (L + m)
@@ -196,8 +199,7 @@ def division_check(f: IntPolynomial, field: FieldSpec, L: int = 2,
                 g = g * elems[i]
             walk(ax + 1, idx + (i,), g, ehat_exp - fexp[i] * N)
 
-    walk(0, (), _element_from_rep(field, c, L, m, None),
-         _coeff_ord_q(field, c))
+    walk(0, (), _element_from_rep(field, c, L, m, None), vc)
     return rep
 
 

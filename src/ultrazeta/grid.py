@@ -15,10 +15,12 @@ precision, with every character exponent exact.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -28,6 +30,20 @@ from .intpoly import IntPolynomial
 from .localfield import FieldSpec, LocalFieldElement
 
 _ZERO_SENTINEL = -(10 ** 9)
+
+# Most cells GridFunction.zeros and embed allocate: 2 GiB of complex128.
+MAX_GRID_CELLS = 2 ** 27
+
+
+def _check_grid_cells(q: int, n: int, width: int):
+    """BudgetExceeded unless a grid of (q^width)^n cells fits the budget."""
+    digits = n * width
+    # q >= 2, so an exponent past log2 of the budget is over it; this test
+    # comes first, so a huge exponent never builds a huge power
+    if digits > MAX_GRID_CELLS.bit_length() - 1 \
+            or q ** digits > MAX_GRID_CELLS:
+        raise BudgetExceeded(f"a grid of {q}^{digits} cells exceeds the "
+                             f"budget of {MAX_GRID_CELLS} cells")
 
 
 # -- per-axis index tables ----------------------------------------------------
@@ -77,6 +93,23 @@ def _axis_index(digits, p: int) -> int:
     return acc
 
 
+def _index_digits(idx: np.ndarray, q: int, width: int) -> np.ndarray:
+    """out[..., t]: digit t (least significant first) of every axis index."""
+    out = np.empty(idx.shape + (width,), dtype=np.min_scalar_type(q))
+    for t in range(width):
+        out[..., t] = idx % q
+        idx = idx // q
+    return out
+
+
+@lru_cache(maxsize=None)
+def _axis_digit_text(q: int, width: int):
+    """JSON text of every axis index's digit list, as ``to_json`` writes
+    it: a list of ints prints as its JSON array."""
+    idx = np.arange(q ** width, dtype=np.int64)
+    return list(map(str, _index_digits(idx, q, width).tolist()))
+
+
 # -- grid functions -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -105,6 +138,7 @@ class GridFunction:
 
     @staticmethod
     def zeros(field, n, L, m, exact=False) -> "GridFunction":
+        _check_grid_cells(field.q, n, L + m)
         Q = field.q ** (L + m)
         if exact:
             v = np.full((Q,) * n, Fraction(0), dtype=object)
@@ -201,64 +235,164 @@ class GridFunction:
             idx.append(i)
         return self.values[tuple(idx)]
 
-    def to_json(self, dense=False) -> dict:
-        q = self.field.q
-        width = self.L + self.m
+    def _kept_cells(self, dense):
+        """Values of the cells ``to_json`` writes (every cell, or the
+        nonzero ones) in row-major order, and their indices on each axis."""
         flat = self.as_complex().reshape(-1)
         keep = np.arange(flat.size) if dense else np.flatnonzero(flat)
         axes = np.unravel_index(keep, self.values.shape) if self.n else ()
-        coords = np.array(axes, dtype=np.int64).reshape(self.n, keep.size).T
-        # digits[k, axis, t]: digit t of kept cell k, least significant first
-        digits = np.empty(coords.shape + (width,), dtype=np.min_scalar_type(q))
-        for t in range(width):
-            digits[..., t] = coords % q
-            coords = coords // q
-        vals = [{"coset": c, "re": re, "im": im}
-                for c, re, im in zip(digits.tolist(), flat.real[keep].tolist(),
-                                     flat.imag[keep].tolist())]
+        return flat[keep], axes
+
+    def to_json(self, dense=False) -> dict:
+        vals, axes = self._kept_cells(dense)
+        coords = np.array(axes, dtype=np.int64).reshape(self.n, vals.size).T
+        digits = _index_digits(coords, self.field.q, self.L + self.m)
+        entries = [{"coset": c, "re": re, "im": im}
+                   for c, re, im in zip(digits.tolist(), vals.real.tolist(),
+                                        vals.imag.tolist())]
         return {"field": self.field.to_json(), "n": self.n,
-                "L": self.L, "m": self.m, "values": vals}
+                "L": self.L, "m": self.m, "values": entries}
+
+    def to_json_text(self, dense=False) -> str:
+        """Equals ``json.dumps(self.to_json(dense), sort_keys=True)``,
+        built from per-axis digit-list texts without the per-cell dicts."""
+        vals, axes = self._kept_cells(dense)
+        text = _axis_digit_text(self.field.q, self.L + self.m)
+        cosets = map(", ".join, zip(*(map(text.__getitem__, a.tolist())
+                                      for a in axes))) \
+            if self.n else [""] * vals.size
+        entries = ", ".join([f'{{"coset": [{c}], "im": {im}, "re": {re}}}'
+                             for c, im, re in zip(cosets,
+                                                  _json_floats(vals.imag),
+                                                  _json_floats(vals.real))])
+        head = json.dumps({"L": self.L, "field": self.field.to_json(),
+                           "m": self.m, "n": self.n}, sort_keys=True)
+        return f'{head[:-1]}, "values": [{entries}]}}'
 
     @staticmethod
     def from_json(obj: dict) -> "GridFunction":
-        """Inverse of ``to_json``; a coset needs n digit vectors of L+m
-        digits in 0..p-1, a finite value and no earlier entry, or
-        ValueError is raised."""
-        field = FieldSpec.from_json(obj["field"])
-        n, L, m = int(obj["n"]), int(obj["L"]), int(obj["m"])
+        """Inverse of ``to_json``.  ``n``, ``L`` and ``m`` are non-negative
+        ints; each entry is an object whose coset has n digit vectors of
+        L+m int digits in 0..p-1, whose value complex(re, im) is finite,
+        and whose coset no earlier entry lists.  Anything else raises
+        ValueError, naming the first faulty coset; a grid over the cell
+        budget raises BudgetExceeded."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("field"),
+                                                       dict):
+            raise ValueError("a grid is a JSON object with a field object")
+        try:
+            field = FieldSpec.from_json(obj["field"])
+        except (KeyError, TypeError):
+            raise ValueError(f"bad grid field {obj['field']!r}") from None
+        for key in ("n", "L", "m"):
+            if type(obj.get(key)) is not int or obj[key] < 0:
+                raise ValueError(f"grid {key} must be a non-negative int, "
+                                 f"not {obj.get(key)!r}")
+        values = obj.get("values")
+        if type(values) is not list:
+            raise ValueError("grid values must be a list")
+        for entry in values:
+            if type(entry) is not dict:
+                raise ValueError(f"grid entry {entry!r} is not an object")
+        n, L, m = obj["n"], obj["L"], obj["m"]
         g = GridFunction.zeros(field, n, L, m)
-        q, width = field.q, L + m
-        Q = q ** width
-        flat_values = g.values.reshape(-1)  # a view, row-major
-        seen = set()
-        for entry in obj["values"]:
-            coset = entry["coset"]
-            if not isinstance(coset, list) or len(coset) != n:
-                raise ValueError(f"coset {coset!r} needs {n} digit vectors")
-            flat = 0
-            for digits in coset:
-                if not isinstance(digits, list) or len(digits) != width:
-                    raise ValueError(f"coset {coset!r} needs {width} "
-                                     f"digits per coordinate")
-                acc = 0
-                for d in reversed(digits):
-                    if type(d) is not int or not 0 <= d < q:
-                        raise ValueError(f"coset {coset!r} has a digit "
-                                         f"outside 0..{q - 1}")
-                    acc = acc * q + d
-                flat = flat * Q + acc
-            try:
-                val = complex(entry["re"], entry.get("im", 0.0))
-            except TypeError:
-                raise ValueError(f"value of coset {coset!r} is not a "
-                                 f"number") from None
-            if not cmath.isfinite(val):
-                raise ValueError(f"value of coset {coset!r} is not finite")
-            if flat in seen:
-                raise ValueError(f"coset {coset!r} is listed twice")
-            seen.add(flat)
-            flat_values[flat] = val
+        cosets = [e.get("coset") for e in values]
+        cells = _coset_cells(cosets, n, field.q, L + m)
+        vals = _entry_values(values, cosets)
+        order = np.argsort(cells, kind="stable")
+        ordered = cells[order]
+        repeats = order[1:][ordered[1:] == ordered[:-1]]
+        if repeats.size:
+            raise ValueError(f"coset {cosets[repeats.min()]!r} is listed "
+                             f"twice")
+        g.values.reshape(-1)[cells] = vals  # a view, row-major
         return g
+
+
+# -- grid JSON ----------------------------------------------------------------
+
+# json's spellings of the non-finite floats; float.__repr__ gives the rest
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(x: np.ndarray):
+    out = list(map(float.__repr__, x.tolist()))
+    if not np.isfinite(x).all():
+        out = [_JSON_NONFINITE.get(t, t) for t in out]
+    return out
+
+
+def _all_of_type(items, t) -> bool:
+    return list(map(type, items)).count(t) == len(items)
+
+
+def _lists_of(items, length: int) -> bool:
+    return _all_of_type(items, list) and set(map(len, items)) <= {length}
+
+
+def _coset_fault(coset, n: int, q: int, width: int):
+    """Why ``coset`` is not n digit vectors of ``width`` digits in
+    0..q-1, or None."""
+    if type(coset) is not list or len(coset) != n:
+        return f"coset {coset!r} needs {n} digit vectors"
+    for digits in coset:
+        if type(digits) is not list or len(digits) != width:
+            return f"coset {coset!r} needs {width} digits per coordinate"
+        if any(type(d) is not int or not 0 <= d < q for d in digits):
+            return f"coset {coset!r} has a digit outside 0..{q - 1}"
+    return None
+
+
+def _coset_cells(cosets, n: int, q: int, width: int) -> np.ndarray:
+    """Row-major cell index of every coset, all checked at once; on a
+    fault, ValueError names the first faulty coset."""
+    digits = None
+    if _lists_of(cosets, n):
+        coords = list(chain.from_iterable(cosets))
+        if _lists_of(coords, width):
+            flat = list(chain.from_iterable(coords))
+            if _all_of_type(flat, int):
+                # bytes() converts fastest and refuses ints outside 0..255
+                try:
+                    digits = np.frombuffer(bytes(flat), np.uint8) \
+                        if q <= 256 else np.fromiter(flat, np.int64, len(flat))
+                except (ValueError, OverflowError):
+                    pass
+    if digits is None or ((digits < 0) | (digits >= q)).any():
+        raise ValueError(next(filter(None, (
+            _coset_fault(c, n, q, width) for c in cosets))))
+    axes = digits.reshape(len(cosets), n, width) \
+        @ q ** np.arange(width, dtype=np.int64)
+    return axes @ (q ** width) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _finite_complex(coset, re, im) -> complex:
+    try:
+        val = complex(re, im)
+    except (TypeError, OverflowError):
+        val = None
+    if val is None or not cmath.isfinite(val):
+        raise ValueError(f"value of coset {coset!r} is not a finite number")
+    return val
+
+
+def _entry_values(values, cosets) -> np.ndarray:
+    """complex(re, im) of every entry, which must be finite; JSON numbers
+    convert all at once, anything else entry by entry."""
+    re = [e.get("re") for e in values]
+    im = [e.get("im", 0.0) for e in values]
+    out = np.empty(len(values), dtype=complex)
+    if set(map(type, chain(re, im))) <= {int, float, bool}:
+        try:
+            out.real = re
+            out.imag = im
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
+    out[:] = [_finite_complex(*e) for e in zip(cosets, re, im)]
+    return out
 
 
 def _axis_add(field, i, j, L, m):
@@ -326,6 +460,7 @@ def embed(g: GridFunction, L: int, m: int) -> GridFunction:
         return g
     if L < g.L or m < g.m:
         raise ValueError("embedding cannot shrink the grid")
+    _check_grid_cells(g.field.q, g.n, L + m)
     q = g.field.q
     Q2 = q ** (L + m)
     low = q ** (L - g.L)

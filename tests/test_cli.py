@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ultrazeta.cli import main
+from ultrazeta import pdo
+from ultrazeta.cli import build_parser, main
 from ultrazeta.grid import GridFunction, fourier_transform, random_grid
+from ultrazeta.intpoly import parse_polynomial
 from ultrazeta.localfield import Qp
 
 
@@ -83,6 +85,46 @@ def test_fourier_output_matches_json_dump(tmp_path, grid_file):
     assert out.read_text() == want.getvalue() + "\n"
 
 
+@pytest.mark.parametrize("dense", [False, True])
+def test_op_apply_output_matches_json_dump(tmp_path, grid_file, dense):
+    out = tmp_path / "T.json"
+    argv = ["op", "apply", "--symbol", "x1:1.5", "--symbol", "x1^2:0.5",
+            "--input", grid_file, "--output", str(out)]
+    assert main(argv + ["--dense"] * dense) == 0
+    with open(grid_file) as fh:
+        g = GridFunction.from_json(json.load(fh))
+    T = pdo.apply_pseudodiff(pdo.PseudoDiffOp((
+        (parse_polynomial("x1", 1), 1.5 + 0j),
+        (parse_polynomial("x1^2", 1), 0.5 + 0j))), g)
+    payload = {"base": T.base.to_json(dense=dense),
+               "multipliers": [{"poly": repr(m.poly),
+                                "alpha": {"re": m.alpha.real,
+                                          "im": m.alpha.imag}}
+                               for m in T.multipliers]}
+    assert out.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_parser_reuse_keeps_no_flags(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    poles = ["poles", "--data", "(1,1)", "--prog", "2,1,..."]
+    r1, r3 = tmp_path / "r1.json", tmp_path / "r3.json"
+    runs = [(["--seed", "5", "--report", str(r1)] + poles
+             + ["--depth", "3"], r1),
+            (poles, None),
+            (poles + ["--seed", "9", "--report", str(r3)], r3),
+            (poles, None)]
+    configs = []
+    for argv, report in runs:
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert (stdout == "") == (report is not None)
+        configs.append(json.loads(report.read_text() if report else stdout)
+                       ["config"])
+    assert [c["seed"] for c in configs] == [5, 0, 9, 0]
+    assert [c["depth"] for c in configs] == [3, 10, 10, 10]
+    assert all(c["prog"] == ["2,1,..."] for c in configs)
+
+
 def test_field_roundtrip(tmp_path):
     report = tmp_path / "r.json"
     elem = {"field": {"kind": "Qp", "p": 3}, "val": 1, "digits": [1, 1]}
@@ -128,17 +170,33 @@ def test_op_apply_and_riesz(tmp_path, grid_file):
     assert res["discrepancy"] < 1e-10
 
 
-@pytest.mark.parametrize("coset, re", [
-    ([[7, 0]], 1.0),          # digit out of range for p = 3
-    ([[1, 0, 2]], 1.0),       # more digits than L + m
-    ([[1, 0]], float("nan")),  # non-finite value
-    ([[1, 0], [0, 0]], 1.0),  # two coordinates on an n = 1 grid
+@pytest.mark.parametrize("coset, re, edit", [
+    # digit out of range for p = 3
+    pytest.param([[7, 0]], 1.0, None, id="coset0-1.0"),
+    # more digits than L + m
+    pytest.param([[1, 0, 2]], 1.0, None, id="coset1-1.0"),
+    # non-finite value
+    pytest.param([[1, 0]], float("nan"), None, id="coset2-nan"),
+    # two coordinates on an n = 1 grid
+    pytest.param([[1, 0], [0, 0]], 1.0, None, id="coset3-1.0"),
+    pytest.param([[1, 0]], 10 ** 400, None, id="value-beyond-float"),
+    pytest.param([[1, 0]], 1.0, lambda doc: [doc], id="document-list"),
+    pytest.param([[1, 0]], 1.0, lambda doc: {**doc, "field": "Qp"},
+                 id="field-string"),
+    pytest.param([[1, 0]], 1.0,
+                 lambda doc: {**doc, "values": [[[1, 0]]]}, id="entry-list"),
+    pytest.param([[1, 0]], 1.0, lambda doc: {**doc, "values": {}},
+                 id="values-object"),
+    pytest.param([[1, 0]], 1.0, lambda doc: {**doc, "m": -2},
+                 id="m-negative"),
+    pytest.param([[1, 0]], 1.0, lambda doc: {**doc, "L": 1.5}, id="L-float"),
+    pytest.param([[1, 0]], 1.0, lambda doc: {**doc, "n": True}, id="n-bool"),
 ])
-def test_fourier_bad_grid_exits_two(tmp_path, coset, re):
+def test_fourier_bad_grid_exits_two(tmp_path, coset, re, edit):
     src = tmp_path / "bad.json"
-    src.write_text(json.dumps({
-        "field": {"kind": "Qp", "p": 3}, "n": 1, "L": 1, "m": 1,
-        "values": [{"coset": coset, "re": re, "im": 0.0}]}))
+    doc = {"field": {"kind": "Qp", "p": 3}, "n": 1, "L": 1, "m": 1,
+           "values": [{"coset": coset, "re": re, "im": 0.0}]}
+    src.write_text(json.dumps(edit(doc) if edit else doc))
     rc = main(["fourier", "--input", str(src), "--output",
                str(tmp_path / "out.json")])
     assert rc == 2
@@ -155,3 +213,11 @@ def test_fourier_duplicate_coset_exits_two(tmp_path):
                str(tmp_path / "out.json")])
     assert rc == 2
     assert not (tmp_path / "out.json").exists()
+
+
+def test_grid_over_cell_budget_exits_one(tmp_path, capsys):
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps({"field": {"kind": "Qp", "p": 3}, "n": 3,
+                               "L": 6, "m": 6, "values": []}))
+    assert main(["sobolev", "--input", str(src), "--l", "0"]) == 1
+    assert "BudgetExceeded" in capsys.readouterr().err

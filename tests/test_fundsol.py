@@ -195,3 +195,14 @@ def test_division_check_matches_per_cell_definition(field, text, n):
     trials, failures = _division_oracle(f, field)
     assert (rep.trials, rep.failures, rep.passed) \
         == (trials, failures, not failures)
+
+
+def test_division_check_rejects_vanishing_coefficient():
+    # 3 = 0 in F_3((T)): the symbol |3 x1 x2| is zero, as zeta_exact_in_t
+    # also reports
+    f = parse_polynomial("3*x1*x2", 2)
+    gh = GridFunction.indicator_ball(LaurentFp(3), 2, 0, exact=True)
+    with pytest.raises(UnsupportedPolynomial):
+        zeta_exact_in_t(gh, f, side="frequency")
+    with pytest.raises(UnsupportedPolynomial):
+        division_check(f, LaurentFp(3))

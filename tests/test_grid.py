@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultrazeta.errors import DivergentIntegral
-from ultrazeta.grid import (GridFunction, Multiplier, SpectralFunction,
-                            convolve, dirac, dual_norm, embed,
-                            fourier_transform, hinf_metric, l2_norm, pairing,
-                            partial_fourier_restrict, power_integral,
+from ultrazeta.errors import BudgetExceeded, DivergentIntegral
+from ultrazeta.grid import (MAX_GRID_CELLS, GridFunction, Multiplier,
+                            SpectralFunction, convolve, dirac, dual_norm,
+                            embed, fourier_transform, hinf_metric, l2_norm,
+                            pairing, partial_fourier_restrict, power_integral,
                             random_grid, reflect, sobolev_norm, sup_norm,
                             sup_norm_constant_sq, unify_pair,
                             _axis_digits, _axis_negation, _axis_norm_exps,
@@ -429,13 +429,18 @@ def test_grid_json_matches_per_cell_definition(field, n, dense):
         flat[1::4] = complex(-0.0, 0.0)
         if flat.size > 3:
             flat[3] = complex(math.nan, 1.0)
+        if flat.size > 5:
+            flat[5] = complex(math.inf, -math.inf)
         got = g.to_json(dense=dense)
         assert json.dumps(got["values"]) == \
             json.dumps(_per_cell_json_values(g, dense))
         assert (got["n"], got["L"], got["m"]) == (n, L, m)
+        assert g.to_json_text(dense) == json.dumps(got, sort_keys=True)
     exact = GridFunction.indicator_ball(field, n, 0, L=1, m=1, exact=True)
     assert exact.to_json(dense=dense)["values"] == \
         _per_cell_json_values(exact, dense)
+    assert exact.to_json_text(dense) == \
+        json.dumps(exact.to_json(dense), sort_keys=True)
 
 
 def _one_entry_grid(field, n, L, m, coset, re=1.0):
@@ -458,6 +463,19 @@ def _one_entry_grid(field, n, L, m, coset, re=1.0):
     _one_entry_grid(Qp(3), 1, 1, 1, [[1.0, 0]]),
     _one_entry_grid(Qp(3), 1, 1, 1, [1]),
     _one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]], re="1"),
+    # a document, field or entry that is not an object; values not a list
+    [_one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]])],
+    {**_one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]]), "field": "Qp"},
+    {**_one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]]), "values": [[[1, 0]]]},
+    {**_one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]]), "values": {}},
+    # an integer value beyond float range
+    _one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]], re=10 ** 400),
+    # n, L and m are non-negative ints
+    {**_one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]]), "m": -2},
+    {**_one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]]), "L": 1.5},
+    {**_one_entry_grid(Qp(3), 1, 1, 1, [[1, 0]]), "n": True},
+    # a bool digit
+    _one_entry_grid(Qp(3), 1, 1, 1, [[True, 0]]),
 ])
 def test_grid_json_rejects_bad_cosets(obj):
     with pytest.raises(ValueError):
@@ -474,3 +492,29 @@ def test_grid_json_rejects_duplicate_coset():
     g.values[()] = 2.0
     back = GridFunction.from_json(json.loads(json.dumps(g.to_json())))
     assert back.n == 0 and complex(back.values[()]) == 2.0
+
+
+def test_grid_json_wide_residue_field():
+    # digits past 255 take the reader's int64 path
+    g = random_grid(Qp(257), 1, 1, 0, np.random.default_rng(16))
+    back = GridFunction.from_json(json.loads(g.to_json_text()))
+    assert np.array_equal(back.values, g.values)
+    with pytest.raises(ValueError, match="outside 0..256"):
+        GridFunction.from_json(_one_entry_grid(Qp(257), 1, 1, 0, [[257]]))
+
+
+def test_grid_cell_budget():
+    # the traced 256^3-cell transforms fit; 3^36 cells would need 2 EiB
+    assert 2 ** 24 <= MAX_GRID_CELLS < 3 ** 36
+    obj = {"field": {"kind": "Qp", "p": 3}, "n": 3, "L": 6, "m": 6,
+           "values": []}
+    with pytest.raises(BudgetExceeded):
+        GridFunction.from_json(obj)
+    with pytest.raises(BudgetExceeded):
+        GridFunction.zeros(Qp(3), 3, 6, 6)
+    with pytest.raises(BudgetExceeded):
+        GridFunction.zeros(Qp(2), 1, 10 ** 9, 0)
+    g = GridFunction.zeros(Qp(2), 2, 4, 3)
+    assert embed(g, 4, 4).values.shape == (256, 256)
+    with pytest.raises(BudgetExceeded):
+        embed(g, 8, 6)
