@@ -4,12 +4,15 @@ A grid function lives on K^n, is supported in the ball of radius q^L and is
 constant on cosets of the ball of radius q^{-m}.  Coset representatives of
 pi^{-L} R_K / pi^m R_K are indexed 0..q^{L+m}-1 by their digit expansion
 (least-significant digit at exponent -L).  Over Q_p the Fourier transform is
-then a scaled DFT of Z/q^{L+m}; over F_p((T)) a digit-reversed tensor power
-of p-point DFTs, evaluated over all n(L+m) digits of the grid at once as one
-matrix product per group of c digits (p^c <= 64, the matrix F_p^{tensor c}
-built from exact integer exponents) and one digit-reversal gather per axis.
-Either way the involution F(F g)(x) = g(-x) and Parseval hold at double
-precision, with every character exponent exact.
+then a scaled DFT of Z/q^{L+m}, one ``np.fft.fftn`` that writes every axis
+into a single preallocated array (the input's own array where the caller
+owns it, as convolution and the metric do) and is scaled there; over
+F_p((T)) a digit-reversed tensor power of p-point DFTs, evaluated over all
+n(L+m) digits of the grid at once as one matrix product per group of c
+digits (p^c <= 64, the matrix F_p^{tensor c} built from exact integer
+exponents) and one digit-reversal gather per axis.  Either way the
+involution F(F g)(x) = g(-x) and Parseval hold at double precision, with
+every character exponent exact.
 """
 
 from __future__ import annotations
@@ -197,31 +200,34 @@ class GridFunction:
 
     # pointwise algebra -------------------------------------------------------
 
+    def _with(self, values) -> "GridFunction":
+        # numpy gives a scalar for an operation on 0-d arrays (n = 0)
+        return GridFunction(self.field, self.n, self.L, self.m,
+                            np.asarray(values))
+
     def __add__(self, other):
         a, b = unify_pair(self, other)
-        return GridFunction(a.field, a.n, a.L, a.m, a.values + b.values)
+        return a._with(a.values + b.values)
 
     def __sub__(self, other):
         a, b = unify_pair(self, other)
-        return GridFunction(a.field, a.n, a.L, a.m, a.values - b.values)
+        return a._with(a.values - b.values)
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):
             a, b = unify_pair(self, other)
-            return GridFunction(a.field, a.n, a.L, a.m, a.values * b.values)
+            return a._with(a.values * b.values)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "GridFunction":
-        return GridFunction(self.field, self.n, self.L, self.m,
-                            self.values * c)
+        return self._with(self.values * c)
 
     def conj(self) -> "GridFunction":
         if self.is_exact:
             return self
-        return GridFunction(self.field, self.n, self.L, self.m,
-                            np.conj(self.values))
+        return self._with(np.conj(self.values))
 
     # evaluation ------------------------------------------------------------
 
@@ -534,7 +540,7 @@ def _laurent_ft(v: np.ndarray, p: int, width: int, scale: float):
     n = v.ndim
     digits = n * width
     if digits == 0:
-        return v * scale
+        return np.asarray(v * scale)  # an array even when n = 0
     c = 1
     while p ** (c + 1) <= _GROUP_CELLS:
         c += 1
@@ -554,21 +560,36 @@ def _laurent_ft(v: np.ndarray, p: int, width: int, scale: float):
     return x
 
 
+def _transform(g: GridFunction, owned=False) -> GridFunction:
+    """Fourier transform of g.  Over Q_p it is written into one array:
+    g.values itself when ``owned`` (the caller's own array, not needed
+    after), else a new one; exact values convert to a new array first."""
+    v = g.values
+    if g.is_exact:
+        v, owned = v.astype(complex), True
+    q = g.field.q
+    scale = float(Fraction(q) ** (-g.m * g.n))
+    if g.field.kind == "Qp":
+        dtype = np.result_type(v.dtype, np.complex64)  # that of np.fft.fftn
+        if g.n:
+            out = v if owned and v.dtype == dtype \
+                else np.empty(v.shape, dtype)
+            np.fft.fftn(v, out=out)
+        else:
+            out = np.array(v, dtype)  # fftn over no axes returns its input
+        out *= scale
+    else:
+        out = _laurent_ft(v, q, g.L + g.m, scale)
+    return GridFunction(g.field, g.n, g.m, g.L, out)
+
+
 def fourier_transform(g: GridFunction) -> GridFunction:
     """Exact grid Fourier transform; (L, m) swap to (m, L).
 
     F g(xi) = sum over cosets g(x) chi(-x.xi) q^{-mn}; the character
     exponents are exact rationals realized through the DFT kernel.
     """
-    v = g.values.astype(complex) if g.is_exact else g.values
-    q = g.field.q
-    scale = float(Fraction(q) ** (-g.m * g.n))
-    if g.field.kind == "Qp":
-        out = np.fft.fftn(v)
-        out *= scale
-    else:
-        out = _laurent_ft(v, q, g.L + g.m, scale)
-    return GridFunction(g.field, g.n, g.m, g.L, out)
+    return _transform(g)
 
 
 def inverse_fourier_transform(h: GridFunction) -> GridFunction:
@@ -587,16 +608,22 @@ def reflect(g: GridFunction) -> GridFunction:
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """Convolution via the transform product F(f * g) = Ff . Fg."""
     fh, gh = unify_pair(fourier_transform(f), fourier_transform(g))
-    prod = GridFunction(fh.field, fh.n, fh.L, fh.m, fh.values * gh.values)
-    return inverse_fourier_transform(prod)
+    # fh.values is a transform's output or an embedding of it: ours.  Its
+    # product with gh.values goes into it, except for one cell, where
+    # numpy rounds a complex product in place differently from a new one
+    v = fh.values
+    own = v.size > 1 and v.dtype == gh.values.dtype
+    prod = np.multiply(v, gh.values, out=v if own else None)
+    return reflect(_transform(GridFunction(fh.field, fh.n, fh.L, fh.m, prod),
+                              owned=True))
 
 
 # -- norms, metric ------------------------------------------------------------
 
 def l2_norm(g: GridFunction) -> float:
-    v = g.as_complex() if g.is_exact else g.values
-    return math.sqrt(float(np.sum(np.abs(v) ** 2))
-                     * float(g.coset_measure()))
+    a = np.abs(g.as_complex() if g.is_exact else g.values)
+    a **= 2
+    return math.sqrt(float(np.sum(a)) * float(g.coset_measure()))
 
 
 def sup_norm(g: GridFunction) -> float:
@@ -608,14 +635,13 @@ def _bracket_weight(g: GridFunction, l) -> np.ndarray:
     """[xi]^l = max(1, ||xi||)^l as an array over the grid of g."""
     q = float(g.field.q)
     f = _axis_norm_exps(g.field.kind, g.field.q, g.L, g.m).astype(float)
-    axis_norm = np.where(f <= _ZERO_SENTINEL / 2, 0.0, q ** f)
-    w = None
-    for ax in range(g.n):
-        shape = [1] * g.n
-        shape[ax] = g.Q
-        a = axis_norm.reshape(shape)
-        w = a if w is None else np.maximum(w, a)
-    return np.maximum(w, 1.0) ** l
+    axis = np.maximum(np.where(f <= _ZERO_SENTINEL / 2, 0.0, q ** f), 1.0)
+    w = np.empty(g.values.shape)
+    w[...] = axis.reshape((-1,) + (1,) * (g.n - 1)) if g.n else 1.0
+    for ax in range(1, g.n):
+        np.maximum(w, axis.reshape((-1,) + (1,) * (g.n - 1 - ax)), out=w)
+    w **= l
+    return w
 
 
 def sobolev_norm(g, l: int) -> float:
@@ -631,9 +657,10 @@ def sobolev_norm_with_tail(g, l: int):
         sq, tail = g.norm_sq(l)
         return math.sqrt(max(sq, 0.0)), tail
     gh = fourier_transform(g)
-    w = _bracket_weight(gh, l)
-    sq = float(np.sum(w * np.abs(gh.values) ** 2)) \
-        * float(gh.coset_measure())
+    a = np.abs(gh.values)
+    a **= 2
+    a *= _bracket_weight(gh, l)
+    sq = float(np.sum(a)) * float(gh.coset_measure())
     return math.sqrt(sq), 0.0
 
 
@@ -644,14 +671,16 @@ def hinf_metric(f: GridFunction, g: GridFunction, l_max=None) -> float:
     beat the running max no larger l can either, because x/(1+x) < 1.
     """
     d = f - g
-    dh = fourier_transform(d)
+    # f - g is a new array, so the transform may overwrite it
+    dh = _transform(d, owned=True)
     if not np.any(dh.values):
         return 0.0
     w1 = _bracket_weight(dh, 1)
-    base = np.abs(dh.values) ** 2 * float(dh.coset_measure())
+    cur = np.abs(dh.values)
+    cur **= 2
+    cur *= float(dh.coset_measure())
     best = 0.0
     l = 0
-    cur = base.copy()
     while True:
         nl = math.sqrt(float(np.sum(cur)))
         best = max(best, 2.0 ** (-l) * nl / (1.0 + nl))
@@ -1107,8 +1136,7 @@ def _rational_norm(p, r: Fraction) -> Fraction:
 def _axis_char_weights(g: GridFunction, c) -> np.ndarray:
     """chi(-rep_i * c) for every axis representative (exact exponents)."""
     q = g.field.q
-    Q = g.Q
-    out = np.empty(Q, dtype=complex)
+    idx = np.arange(g.Q, dtype=np.int64)
     if g.field.kind == "Qp":
         if isinstance(c, LocalFieldElement):
             if not c.is_zero and c.known_to < g.L:
@@ -1116,34 +1144,35 @@ def _axis_char_weights(g: GridFunction, c) -> np.ndarray:
             cf = c.as_fraction()
         else:
             cf = Fraction(c)
-        for i in range(Q):
-            rep = Fraction(i, q ** g.L)
-            r = _qp_char_fraction(q, -rep * cf)
-            out[i] = cmath.exp(2j * math.pi * float(r))
-        return out
+        # -rep_i * c = -i * cf / q^L = N_i / (q^K u), u a unit mod q; its
+        # fractional part is r_i / q^K, r_i = N_i u^{-1} mod q^K exactly
+        u, K = cf.denominator, g.L
+        while u % q == 0:
+            u //= q
+            K += 1
+        qK = q ** K
+        t = -cf.numerator * pow(u, -1, qK) % qK
+        if g.Q * qK > 2 ** 53:
+            idx = idx.astype(object)  # Python ints, exact at any size
+        # both correctly rounded: each r_i / q^K is float(Fraction(r_i, q^K))
+        frac = (idx * t % qK / qK).tolist()
+        return np.array([cmath.exp(2j * math.pi * x) for x in frac],
+                        dtype=complex)
     if not isinstance(c, LocalFieldElement):
         raise TypeError("Laurent grids need LocalFieldElement coordinates")
     if not c.is_zero and c.known_to < g.L:
         raise Inexact("xi0 digits unresolved at the grid scale")
-    width = g.L + g.m
-    for i in range(Q):
-        digits = _axis_digits(i, q, width)
-        acc = 0
-        for t, d in enumerate(digits):
-            if d == 0:
-                continue
-            exp_needed = -1 - (t - g.L)
-            if c.is_zero:
-                cd = 0
-            elif exp_needed < c.valuation:
-                cd = 0
-            elif exp_needed >= c.known_to:
-                raise Inexact("xi0 digits unresolved at the grid scale")
-            else:
-                cd = c.digit_at(exp_needed)
-            acc = (acc + d * cd) % q
-        out[i] = cmath.exp(-2j * math.pi * acc / q)
-    return out
+    # the pairing of digit t of rep_i with the digit of c at L-1-t, mod q
+    acc = np.zeros(g.Q, dtype=np.int64)
+    for t in range(g.L + g.m):
+        e = g.L - 1 - t
+        if c.is_zero or e < c.valuation:
+            continue
+        if e >= c.known_to:
+            raise Inexact("xi0 digits unresolved at the grid scale")
+        acc += idx // q ** t % q * c.digit_at(e)
+    roots = np.array([cmath.exp(-2j * math.pi * a / q) for a in range(q)])
+    return roots[acc % q]
 
 
 def _qp_char_fraction(p, r: Fraction) -> Fraction:
@@ -1196,7 +1225,8 @@ def random_grid(field: FieldSpec, n: int, L: int, m: int, rng,
                 density: float = 1.0) -> GridFunction:
     """Random complex grid function (dense by default)."""
     Q = field.q ** (L + m)
-    v = rng.standard_normal((Q,) * n) + 1j * rng.standard_normal((Q,) * n)
+    v = np.asarray(rng.standard_normal((Q,) * n)
+                   + 1j * rng.standard_normal((Q,) * n))  # 0-d when n = 0
     if density < 1.0:
         mask = rng.random((Q,) * n) < density
         v = np.where(mask, v, 0.0)

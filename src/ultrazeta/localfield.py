@@ -55,7 +55,14 @@ class FieldSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "FieldSpec":
-        return FieldSpec(kind=obj["kind"], p=int(obj["p"]))
+        """Inverse of ``to_json``: ``kind`` a string, ``p`` an int (not a
+        bool); a wrong type raises ValueError naming the field."""
+        kind, p = obj["kind"], obj["p"]
+        if type(kind) is not str:
+            raise ValueError(f"field kind must be a string, not {kind!r}")
+        if type(p) is not int:
+            raise ValueError(f"field p must be an int, not {p!r}")
+        return FieldSpec(kind=kind, p=p)
 
 
 def Qp(p: int) -> FieldSpec:

@@ -221,3 +221,44 @@ def test_grid_over_cell_budget_exits_one(tmp_path, capsys):
                                "L": 6, "m": 6, "values": []}))
     assert main(["sobolev", "--input", str(src), "--l", "0"]) == 1
     assert "BudgetExceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [{"kind": "Qp", "p": 3},
+                                   {"kind": "LaurentFp", "p": 2}])
+def test_n0_grid_commands(tmp_path, field):
+    # to_json writes a one-cell document for n = 0; every command reads it
+    src = tmp_path / "point.json"
+    src.write_text(json.dumps({"field": field, "n": 0, "L": 1, "m": 1,
+                               "values": [{"coset": [], "re": 3.0,
+                                           "im": 4.0}]}))
+    report = tmp_path / "r.json"
+    for l in (-1, 0, 2):
+        assert main(["--report", str(report), "sobolev", "--input",
+                     str(src), "--l", str(l)]) == 0
+        assert json.loads(report.read_text())["results"]["norm"]["value"] \
+            == 5.0
+    out = tmp_path / "ft.json"
+    assert main(["--report", str(report), "fourier", "--input", str(src),
+                 "--output", str(out)]) == 0
+    back = GridFunction.from_json(json.loads(out.read_text()))
+    assert back.n == 0 and complex(back.values[()]) == 3 + 4j
+
+
+@pytest.mark.parametrize("field, name", [
+    ({"kind": "Qp", "p": 3.7}, "field p"),
+    ({"kind": "Qp", "p": "3"}, "field p"),
+    ({"kind": "Qp", "p": True}, "field p"),
+    ({"kind": "Qp", "p": 3.0}, "field p"),
+    ({"kind": 3, "p": 3}, "field kind"),
+    ({"kind": ["Qp"], "p": 3}, "field kind"),
+])
+def test_fourier_field_types_exit_two(tmp_path, capsys, field, name):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"field": field, "n": 1, "L": 1, "m": 1,
+                               "values": [{"coset": [[1, 0]], "re": 1.0,
+                                           "im": 0.0}]}))
+    rc = main(["fourier", "--input", str(src), "--output",
+               str(tmp_path / "out.json")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()

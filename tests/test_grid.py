@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultrazeta.errors import BudgetExceeded, DivergentIntegral
+from ultrazeta.errors import BudgetExceeded, DivergentIntegral, Inexact
 from ultrazeta.grid import (MAX_GRID_CELLS, GridFunction, Multiplier,
                             SpectralFunction, convolve, dirac, dual_norm,
                             embed, fourier_transform, hinf_metric, l2_norm,
@@ -16,6 +16,8 @@ from ultrazeta.grid import (MAX_GRID_CELLS, GridFunction, Multiplier,
                             sup_norm_constant_sq, unify_pair,
                             _axis_digits, _axis_negation, _axis_norm_exps,
                             _qp_char_fraction)
+from ultrazeta.grid import (_axis_char_weights, inverse_fourier_transform,
+                            sobolev_norm_with_tail)
 from ultrazeta.intpoly import IntPolynomial
 from ultrazeta.localfield import LaurentFp, LocalFieldElement, Qp
 
@@ -518,3 +520,112 @@ def test_grid_cell_budget():
     assert embed(g, 4, 4).values.shape == (256, 256)
     with pytest.raises(BudgetExceeded):
         embed(g, 8, 6)
+
+
+def _exact_grid(field, n, L, m, rng):
+    v = np.empty((field.q ** (L + m),) * n, dtype=object)
+    v.reshape(-1)[:] = [Fraction(int(a), int(b)) for a, b in zip(
+        rng.integers(-9, 10, v.size), rng.integers(1, 7, v.size))]
+    return GridFunction(field, n, L, m, v)
+
+
+@pytest.mark.parametrize("field", [Qp(3), LaurentFp(2)])
+@pytest.mark.parametrize("exact", [False, True])
+def test_n0_grids(field, exact):
+    # a point: every Sobolev norm is |g|, and the metric sees one cell
+    rng = np.random.default_rng(21)
+    g = _exact_grid(field, 0, 1, 2, rng) if exact \
+        else random_grid(field, 0, 1, 2, rng)
+    h = GridFunction.zeros(field, 0, 1, 2, exact=exact)
+    l2 = l2_norm(g)
+    assert l2 == abs(complex(g.values[()])) > 0
+    for l in range(-2, 4):
+        assert sobolev_norm(g, l) == l2
+        assert sobolev_norm_with_tail(g, l) == (l2, 0.0)
+    assert dual_norm(fourier_transform(g), 1) == l2
+    assert hinf_metric(g, h) == pytest.approx(l2 / (1 + l2), rel=1e-15)
+    assert hinf_metric(g, g) == 0.0
+    gh = fourier_transform(g)
+    assert gh.values.shape == () and complex(gh.values[()]) == \
+        complex(g.values[()])
+    assert not np.shares_memory(gh.values, g.values)
+
+
+@pytest.mark.parametrize("field", [Qp(2), Qp(3), LaurentFp(2),
+                                   LaurentFp(3)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("exact", [False, True])
+def test_grid_operations_leave_arguments_alone(field, n, exact):
+    rng = np.random.default_rng(22)
+    f, g = [_exact_grid(field, n, 1, 1, rng) if exact
+            else random_grid(field, n, 1, 1, rng) for _ in range(2)]
+    before = [x.values.copy() for x in (f, g)]
+    results = [fourier_transform(f), inverse_fourier_transform(f),
+               convolve(f, g), convolve(f, embed(g, 2, 1))]
+    hinf_metric(f, g)
+    hinf_metric(f, g, l_max=3)
+    sobolev_norm_with_tail(f, 2)
+    for x, old in zip((f, g), before):
+        assert x.values.dtype == old.dtype
+        if exact:
+            assert (x.values == old).all()
+        else:
+            assert x.values.tobytes() == old.tobytes()
+    for r in results:
+        for x in (f, g):
+            assert not np.shares_memory(r.values, x.values)
+    # the product in place rounds as the product into a new array
+    prod = fourier_transform(f) * fourier_transform(g)
+    assert results[2].values.tobytes() == \
+        inverse_fourier_transform(prod).values.tobytes()
+    if field.kind == "Qp":
+        # the transform into a preallocated array is numpy's, bitwise
+        v = f.values.astype(complex)
+        scale = float(Fraction(field.q) ** (-f.m * n))
+        assert results[0].values.tobytes() == \
+            np.asarray(np.fft.fftn(v) * scale).tobytes()
+
+
+def _char_weights_per_index(g, c):
+    """chi(-rep_i * c) index by index, from the definition."""
+    q = g.field.q
+    out = np.empty(g.Q, dtype=complex)
+    for i in range(g.Q):
+        if g.field.kind == "Qp":
+            cf = c.as_fraction() if isinstance(c, LocalFieldElement) \
+                else Fraction(c)
+            r = _qp_char_fraction(q, -Fraction(i, q ** g.L) * cf)
+            out[i] = cmath.exp(2j * math.pi * float(r))
+        else:
+            # digit t of rep_i sits at exponent t - L; it pairs with the
+            # digit of c at -1 - (t - L)
+            acc = sum(d * c.digit_at(g.L - 1 - t)
+                      for t, d in enumerate(_axis_digits(i, q, g.L + g.m)))
+            out[i] = cmath.exp(-2j * math.pi * (acc % q) / q)
+    return out
+
+
+@pytest.mark.parametrize("field, L, m", [
+    (Qp(2), 3, 4), (Qp(3), 2, 2), (Qp(5), 1, 3), (Qp(7), 0, 2),
+    (LaurentFp(2), 3, 4), (LaurentFp(3), 2, 2), (LaurentFp(5), 2, 1)])
+def test_axis_char_weights_match_per_index_definition(field, L, m):
+    g = GridFunction.zeros(field, 1, L, m)
+    q = field.q
+    cs = [LocalFieldElement.zero(field)]
+    pattern = [1, q - 1, 2 % q, 0, 1, q - 1, 1] * 3
+    for val in range(-m - 1, L + 2):
+        for extra in (1, 4):
+            # known down to the grid scale: known_to >= L
+            digits = pattern[:max(L - val, 0) + extra]
+            cs.append(LocalFieldElement.from_digits(field, val, digits))
+    if field.kind == "Qp":
+        cs += [Fraction(0), Fraction(-7, 5 * q ** 2), Fraction(22, 7 * q ** m),
+               Fraction(q ** 2, 11), Fraction(3, q ** 40), 12345678901234567]
+    for c in cs:
+        want = _char_weights_per_index(g, c)
+        assert _axis_char_weights(g, c).tobytes() == want.tobytes(), c
+    # an xi0 without digits down to the grid scale is refused
+    if L > 0:
+        with pytest.raises(Inexact):
+            _axis_char_weights(g, LocalFieldElement.from_digits(
+                field, L - 2, [1]))
