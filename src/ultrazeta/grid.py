@@ -614,8 +614,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     v = fh.values
     own = v.size > 1 and v.dtype == gh.values.dtype
     prod = np.multiply(v, gh.values, out=v if own else None)
-    return reflect(_transform(GridFunction(fh.field, fh.n, fh.L, fh.m, prod),
-                              owned=True))
+    return reflect(_transform(fh._with(prod), owned=True))
 
 
 # -- norms, metric ------------------------------------------------------------

@@ -14,10 +14,9 @@ from ultrazeta.grid import (MAX_GRID_CELLS, GridFunction, Multiplier,
                             pairing, partial_fourier_restrict, power_integral,
                             random_grid, reflect, sobolev_norm, sup_norm,
                             sup_norm_constant_sq, unify_pair,
-                            _axis_digits, _axis_negation, _axis_norm_exps,
-                            _qp_char_fraction)
-from ultrazeta.grid import (_axis_char_weights, inverse_fourier_transform,
-                            sobolev_norm_with_tail)
+                            _axis_char_weights, _axis_digits, _axis_negation,
+                            _axis_norm_exps, _qp_char_fraction,
+                            inverse_fourier_transform, sobolev_norm_with_tail)
 from ultrazeta.intpoly import IntPolynomial
 from ultrazeta.localfield import LaurentFp, LocalFieldElement, Qp
 
