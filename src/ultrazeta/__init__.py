@@ -16,9 +16,9 @@ from .grid import (GridFunction, Multiplier, SpectralFunction, convolve,
 from .zeta import (GeneralizedProgression, HeatKernel, HinfZetaEngine,
                    PolePrediction, ResolutionData, ZetaSeries,
                    elementary_integral, elementary_integral_exact,
-                   heat_kernel_spectral, hinf_zeta_sncd, igusa_series,
-                   locate_real_poles, mixed_integral, monomial_zeta_closed,
-                   predict_poles, snc_form_Z0, snc_pole_progressions)
+                   igusa_series, locate_real_poles, mixed_integral,
+                   monomial_zeta_closed, predict_poles, snc_form_Z0,
+                   snc_pole_progressions)
 from .pdo import (GammaFactor, PseudoDiffOp, RieszKernelSpec,
                   apply_pseudodiff, adjoint_pairing, compose_vladimirov,
                   gamma, prop3_identity_check, riesz_pairing,

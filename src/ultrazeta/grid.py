@@ -13,6 +13,14 @@ digits (p^c <= 64, the matrix F_p^{tensor c} built from exact integer
 exponents) and one digit-reversal gather per axis.  Either way the
 involution F(F g)(x) = g(-x) and Parseval hold at double precision, with
 every character exponent exact.
+
+Readers that are called again and again on one grid with different
+parameters (Sobolev norms per l, pairings per T, Riesz pairings per
+alpha) compute the grid's spectrum once and keep it, read-only, on the
+grid; the grid's ``values`` then become read-only too, so that a later
+write raises ValueError instead of leaving the spectrum stale.
+Convolution reuses a kept spectrum but keeps none, and
+``fourier_transform`` always returns a new writable array.
 """
 
 from __future__ import annotations
@@ -120,7 +128,10 @@ class GridFunction:
     """Test function on K^n: support in B_L^n, constant on B_{-m}^n cosets.
 
     ``values`` has shape (q^{L+m},)*n; complex128 normally, object dtype
-    (Fraction entries) on the exact path.  Treated as immutable.
+    (Fraction entries) on the exact path.  Treated as immutable: the first
+    Sobolev norm, pairing or Riesz pairing of a grid computes its spectrum
+    once and keeps it, and from then on ``values`` (with every array it is
+    a view of) is read-only.
     """
 
     field: FieldSpec
@@ -596,24 +607,49 @@ def inverse_fourier_transform(h: GridFunction) -> GridFunction:
     return reflect(fourier_transform(h))
 
 
+def _freeze(a):
+    """Make a, and every array it is a view of, read-only."""
+    while isinstance(a, np.ndarray):
+        a.flags.writeable = False
+        a = a.base
+
+
+def _spectrum(g: GridFunction) -> GridFunction:
+    """The Fourier transform of g, computed on the first call and kept on
+    g, read-only.  g.values is frozen with it, so that no write can leave
+    the kept spectrum stale.  Callers only read the result."""
+    gh = getattr(g, "_hat", None)
+    if gh is None:
+        gh = fourier_transform(g)
+        _freeze(gh.values)
+        _freeze(g.values)
+        object.__setattr__(g, "_hat", gh)  # not a field: == and repr stay
+    return gh
+
+
 def reflect(g: GridFunction) -> GridFunction:
-    """g(-x) on the same grid."""
+    """g(-x) on the same grid, in a new array."""
     perm = _axis_negation(g.field.kind, g.field.q, g.L, g.m)
-    v = g.values
+    v = g.values if g.n else g.values.copy()
     for ax in range(g.n):
         v = np.take(v, perm, axis=ax)
     return GridFunction(g.field, g.n, g.L, g.m, v)
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Convolution via the transform product F(f * g) = Ff . Fg."""
-    fh, gh = unify_pair(fourier_transform(f), fourier_transform(g))
-    # fh.values is a transform's output or an embedding of it: ours.  Its
-    # product with gh.values goes into it, except for one cell, where
-    # numpy rounds a complex product in place differently from a new one
-    v = fh.values
-    own = v.size > 1 and v.dtype == gh.values.dtype
-    prod = np.multiply(v, gh.values, out=v if own else None)
+    """Convolution via the transform product F(f * g) = Ff . Fg.  A kept
+    spectrum of either operand is reused; none is kept."""
+    kept = [getattr(x, "_hat", None) for x in (f, g)]
+    fh, gh = unify_pair(*(k if k is not None else fourier_transform(x)
+                          for x, k in zip((f, g), kept)))
+    # the product goes into an array of ours (a new transform or an
+    # embedding), never into a kept spectrum.  For one cell numpy rounds a
+    # complex product in place differently from a new one, so one cell
+    # goes to a new array, as does a product of two kept spectra
+    a, b = fh.values, gh.values
+    ours = [h.values for h, k in zip((fh, gh), kept) if h is not k]
+    own = ours and a.size > 1 and a.dtype == b.dtype
+    prod = np.multiply(a, b, out=ours[0] if own else None)
     return reflect(_transform(fh._with(prod), owned=True))
 
 
@@ -655,7 +691,7 @@ def sobolev_norm_with_tail(g, l: int):
     if isinstance(g, SpectralFunction):
         sq, tail = g.norm_sq(l)
         return math.sqrt(max(sq, 0.0)), tail
-    gh = fourier_transform(g)
+    gh = _spectrum(g)
     a = np.abs(gh.values)
     a **= 2
     a *= _bracket_weight(gh, l)
@@ -940,7 +976,7 @@ def dirac(field: FieldSpec, n: int, support_exp: int = 4,
 
 def pairing(T, g: GridFunction) -> complex:
     """[T, g] = integral conj(T-hat) g-hat."""
-    ghat = fourier_transform(g)
+    ghat = _spectrum(g)
     if isinstance(T, GridFunction):
         T = SpectralFunction(T, ())
     return T.pairing_against(ghat)

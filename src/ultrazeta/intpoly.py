@@ -181,15 +181,6 @@ def _fpt_mul(a, b, p, trunc):
     return tuple(out)
 
 
-def fpt_ord(digits):
-    """T-adic valuation of a truncated F_p[T] value; None if it vanishes
-    to the whole truncation depth (i.e. the valuation is only bounded)."""
-    for i, d in enumerate(digits):
-        if d:
-            return i
-    return None
-
-
 _TERM_RE = re.compile(r"^\s*(\d+)\s*$")
 _VAR_RE = re.compile(r"^\s*x(\d+)\s*(?:\^\s*(\d+)\s*)?$")
 _COEFF_VAR_RE = re.compile(r"^\s*(\d+)\s*x(\d+)\s*(?:\^\s*(\d+)\s*)?$")

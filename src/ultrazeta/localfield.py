@@ -322,11 +322,34 @@ class LocalFieldElement:
 
     @staticmethod
     def from_json(obj: dict) -> "LocalFieldElement":
-        fld = FieldSpec.from_json(obj["field"])
-        if obj["val"] == "inf" or obj["val"] is None:
+        """Inverse of ``to_json``: an object with a field object, ``val``
+        an int, ``"inf"`` or null (zero), and ``digits`` a list of int
+        digits in 0..p-1.  Anything else raises ValueError naming the
+        first faulty field."""
+        if type(obj) is not dict:
+            raise ValueError(f"a field element is a JSON object, not "
+                             f"{obj!r}")
+        for key in ("field", "val", "digits"):
+            if key not in obj:
+                raise ValueError(f"field element has no {key!r}")
+        try:
+            fld = FieldSpec.from_json(obj["field"])
+        except (KeyError, TypeError):
+            raise ValueError(f"bad element field {obj['field']!r}") from None
+        val, digits = obj["val"], obj["digits"]
+        if type(val) is not int and val not in ("inf", None):
+            raise ValueError(f"element val must be an int, \"inf\" or null, "
+                             f"not {val!r}")
+        if type(digits) is not list:
+            raise ValueError(f"element digits must be a list, not "
+                             f"{digits!r}")
+        for d in digits:
+            if type(d) is not int or not 0 <= d < fld.p:
+                raise ValueError(f"element digit {d!r} is not an int in "
+                                 f"0..{fld.p - 1}")
+        if val in ("inf", None):
             return LocalFieldElement.zero(fld)
-        return LocalFieldElement.from_digits(fld, int(obj["val"]),
-                                             obj["digits"])
+        return LocalFieldElement.from_digits(fld, val, digits)
 
     def __repr__(self):
         if self.is_zero:
@@ -472,5 +495,20 @@ class FieldVector:
 
     @staticmethod
     def from_json(obj: dict) -> "FieldVector":
-        return FieldVector(tuple(LocalFieldElement.from_json(c)
-                                 for c in obj["coords"]))
+        """Inverse of ``to_json``: an object whose ``coords`` is a nonempty
+        list of field elements of one field.  Anything else raises
+        ValueError naming the first faulty field."""
+        if type(obj) is not dict or "coords" not in obj:
+            raise ValueError(f"a field vector is a JSON object with "
+                             f"coords, not {obj!r}")
+        coords = obj["coords"]
+        if type(coords) is not list:
+            raise ValueError(f"vector coords must be a list, not "
+                             f"{coords!r}")
+        out = []
+        for i, c in enumerate(coords):
+            try:
+                out.append(LocalFieldElement.from_json(c))
+            except ValueError as err:
+                raise ValueError(f"vector coordinate {i}: {err}") from None
+        return FieldVector(tuple(out))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import PoleOfGamma
-from .grid import GridFunction, Multiplier, SpectralFunction, \
+from .grid import GridFunction, Multiplier, SpectralFunction, _spectrum, \
     fourier_transform, pairing, power_integral
 from .intpoly import IntPolynomial
 
@@ -164,7 +164,7 @@ def riesz_pairing(alpha, phi: GridFunction, zero_mode="closed") -> complex:
     Riesz pairing.  Coordinates with alpha_i = 0 restrict phi-hat to
     xi_i = 0 (the delta convention)."""
     spec = RieszKernelSpec(phi.field.q, tuple(complex(a) for a in alpha))
-    phih = fourier_transform(phi)
+    phih = _spectrum(phi)
     deltas = [i for i, a in enumerate(spec.alpha) if a == 0]
     if deltas:
         keep = [i for i in range(phi.n) if i not in deltas]

@@ -652,18 +652,6 @@ def _exp_tail(x, L):
     return acc
 
 
-def hinf_zeta_sncd(n: int, d: int, alpha: float, s, mode: str,
-                   field: FieldSpec = None):
-    """Convenience evaluator; ``mode`` in {sphere_series,
-    factored_continuation, both}."""
-    eng = HinfZetaEngine(n, d, alpha, field=field)
-    if mode == "both":
-        a = eng.value(s, "sphere_series")
-        b = eng.value(s, "factored_continuation")
-        return a, b
-    return eng.value(s, mode)
-
-
 def locate_real_poles(engine: HinfZetaEngine, lo: float, hi: float,
                       coarse: float = 1e-3, threshold: float = 1e4):
     """Scan |Z(s)| on the real axis and refine each spike by ternary
@@ -976,8 +964,3 @@ class HeatKernel:
     def norm(self, l: int, tol: float = 1e-13) -> float:
         sq, _ = self.norm_sq_with_tail(l, tol)
         return math.sqrt(sq)
-
-
-def heat_kernel_spectral(t: float, alpha: float, n: int,
-                         field: FieldSpec = None) -> HeatKernel:
-    return HeatKernel(t, alpha, n, field)

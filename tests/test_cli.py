@@ -262,3 +262,54 @@ def test_fourier_field_types_exit_two(tmp_path, capsys, field, name):
     assert rc == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+_ELEM = {"field": {"kind": "Qp", "p": 3}, "val": 1, "digits": [1, 2]}
+
+
+@pytest.mark.parametrize("a, name", [
+    ([1], "JSON object"),
+    ("inf", "JSON object"),
+    ({"val": 1, "digits": [1]}, "'field'"),
+    ({"field": {"kind": "Qp", "p": 3}, "digits": [1]}, "'val'"),
+    ({"field": {"kind": "Qp", "p": 3}, "val": 1}, "'digits'"),
+    ({**_ELEM, "field": [3]}, "element field"),
+    ({**_ELEM, "field": {"kind": "Qp"}}, "element field"),
+    ({**_ELEM, "field": {"kind": "Qp", "p": 4}}, "not prime"),
+    ({**_ELEM, "val": 1.5}, "element val"),
+    ({**_ELEM, "val": "1"}, "element val"),
+    ({**_ELEM, "val": True}, "element val"),
+    ({**_ELEM, "val": "-inf"}, "element val"),
+    ({**_ELEM, "digits": 12}, "element digits"),
+    ({**_ELEM, "digits": [1.5, 7]}, "digit 1.5"),
+    ({**_ELEM, "digits": [1, 7]}, "digit 7"),
+    ({**_ELEM, "digits": [1, -1]}, "digit -1"),
+    ({**_ELEM, "digits": [1, True]}, "digit True"),
+    ({**_ELEM, "val": "inf", "digits": [3]}, "digit 3"),
+])
+@pytest.mark.parametrize("op", ["valuation", "norm", "add"])
+def test_field_bad_element_exits_two(tmp_path, capsys, a, name, op):
+    report = tmp_path / "r.json"
+    rc = main(["--report", str(report), "field", "--op", op,
+               "--a", json.dumps(a), "--b", json.dumps(_ELEM)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and name in err
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("val", ["inf", None])
+def test_field_zero_element(tmp_path, val):
+    report = tmp_path / "r.json"
+    zero = {"field": {"kind": "LaurentFp", "p": 5}, "val": val, "digits": []}
+    assert main(["--report", str(report), "field", "--op", "valuation",
+                 "--a", json.dumps(zero)]) == 0
+    assert json.loads(report.read_text())["results"]["valuation"] == "inf"
+
+
+def test_field_bad_element_file_exits_two(tmp_path):
+    src = tmp_path / "b.json"
+    src.write_text(json.dumps({**_ELEM, "digits": [1.5, 7]}))
+    assert main(["field", "--op", "add", "--a", json.dumps(_ELEM),
+                 "--b-file", str(src)]) == 2

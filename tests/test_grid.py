@@ -15,10 +15,11 @@ from ultrazeta.grid import (MAX_GRID_CELLS, GridFunction, Multiplier,
                             random_grid, reflect, sobolev_norm, sup_norm,
                             sup_norm_constant_sq, unify_pair,
                             _axis_char_weights, _axis_digits, _axis_negation,
-                            _axis_norm_exps, _qp_char_fraction,
+                            _axis_norm_exps, _qp_char_fraction, _spectrum,
                             inverse_fourier_transform, sobolev_norm_with_tail)
 from ultrazeta.intpoly import IntPolynomial
 from ultrazeta.localfield import LaurentFp, LocalFieldElement, Qp
+from ultrazeta.pdo import riesz_pairing
 
 F3 = Qp(3)
 
@@ -628,3 +629,109 @@ def test_axis_char_weights_match_per_index_definition(field, L, m):
         with pytest.raises(Inexact):
             _axis_char_weights(g, LocalFieldElement.from_digits(
                 field, L - 2, [1]))
+
+
+# -- the kept spectrum --------------------------------------------------------
+
+def _copy(g):
+    """g on a new array, with no kept spectrum."""
+    return GridFunction(g.field, g.n, g.L, g.m, g.values.copy())
+
+
+def _bits(g):
+    return repr(g.values.tolist()) if g.is_exact else g.values.tobytes()
+
+
+def _grid_pair(field, n, exact, seed):
+    rng = np.random.default_rng(seed)
+    return [_exact_grid(field, n, 1, 1, rng) if exact
+            else random_grid(field, n, 1, 1, rng) for _ in range(2)]
+
+
+@pytest.mark.parametrize("field", [Qp(2), Qp(3), LaurentFp(2),
+                                   LaurentFp(3)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("exact", [False, True])
+def test_kept_spectrum_gives_the_same_bits(field, n, exact):
+    g, h = _grid_pair(field, n, exact, 31)
+    T = fourier_transform(random_grid(field, n, 1, 1,
+                                      np.random.default_rng(32)))
+    for l in range(-2, 4):
+        assert repr(sobolev_norm(g, l)) == repr(sobolev_norm(_copy(g), l))
+    assert not g.values.flags.writeable
+    assert repr(pairing(T, g)) == repr(pairing(T, _copy(g)))
+    for a in (0.5, 1.5, 0.0):
+        assert repr(riesz_pairing([a] * n, g)) \
+            == repr(riesz_pairing([a] * n, _copy(g)))
+    # one operand kept, then both
+    assert _bits(convolve(g, h)) == _bits(convolve(_copy(g), _copy(h)))
+    assert _bits(convolve(h, g)) == _bits(convolve(_copy(h), _copy(g)))
+    sobolev_norm(h, 0)
+    assert _bits(convolve(g, h)) == _bits(convolve(_copy(g), _copy(h)))
+    assert _bits(convolve(g, g)) == _bits(convolve(_copy(g), _copy(g)))
+
+
+@pytest.mark.parametrize("field", [Qp(3), LaurentFp(2)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("exact", [False, True])
+def test_transform_after_a_norm_is_new_and_writable(field, n, exact):
+    g, _ = _grid_pair(field, n, exact, 33)
+    sobolev_norm(g, 1)
+    kept = _spectrum(g)
+    assert _spectrum(g) is kept and not kept.values.flags.writeable
+    snapshot = kept.values.tobytes()
+    gh = fourier_transform(g)
+    assert gh.values.flags.writeable
+    assert gh.values.tobytes() == snapshot
+    for arr in (g.values, kept.values):
+        assert not np.shares_memory(gh.values, arr)
+    gh.values[...] = 0
+    assert kept.values.tobytes() == snapshot
+
+
+@pytest.mark.parametrize("field", [Qp(3), LaurentFp(2)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_write_after_a_norm_raises(field, n):
+    g, _ = _grid_pair(field, n, False, 34)
+    pairing(fourier_transform(g), g)
+    with pytest.raises(ValueError):
+        g.values[...] = 1.0
+    # a grid whose values are a view: its base array freezes as well
+    shape = (field.q ** 2,) * n
+    base = np.random.default_rng(35).standard_normal(2 * math.prod(shape))
+    v = GridFunction(field, n, 1, 1,
+                     base.view(np.complex128).reshape(shape))
+    riesz_pairing([0.5] * n, v)
+    before = base.tobytes()
+    with pytest.raises(ValueError):
+        base[0] = 1.0
+    with pytest.raises(ValueError):
+        v.values[...] = 1.0
+    assert base.tobytes() == before
+
+
+@pytest.mark.parametrize("field", [Qp(2), LaurentFp(3)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("exact", [False, True])
+def test_convolve_leaves_kept_spectra_alone(field, n, exact):
+    f, g = _grid_pair(field, n, exact, 36)
+    big = embed(g, 2, 1)
+    for x in (f, g, big):
+        sobolev_norm(x, 2)
+    kept = [_spectrum(x).values.tobytes() for x in (f, g, big)]
+    convolve(f, f)
+    convolve(f, big)
+    convolve(big, g)
+    convolve(embed(f, 1, 2), g)
+    assert [_spectrum(x).values.tobytes() for x in (f, g, big)] == kept
+
+
+@pytest.mark.parametrize("field", [Qp(3), LaurentFp(2)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_reflect_shares_no_memory(field, n):
+    g, _ = _grid_pair(field, n, False, 37)
+    r = reflect(g)
+    assert not np.shares_memory(r.values, g.values)
+    assert r.values.flags.writeable
+    sobolev_norm(g, 0)
+    assert reflect(g).values.flags.writeable

@@ -159,3 +159,28 @@ def test_laurent_arithmetic_roundtrip():
     back = prod / b
     assert back.valuation == a.valuation
     assert back.digits[:10] == a.digits[:10]
+
+
+def test_vector_json_roundtrip():
+    v = FieldVector((LocalFieldElement.from_int(F3, 3),
+                     LocalFieldElement.zero(F3)))
+    assert FieldVector.from_json(v.to_json()) == v
+
+
+_GOOD = {"field": {"kind": "Qp", "p": 3}, "val": 0, "digits": [1]}
+
+
+@pytest.mark.parametrize("obj, name", [
+    ([_GOOD], "JSON object with coords"),
+    ({"coord": [_GOOD]}, "JSON object with coords"),
+    ({"coords": _GOOD}, "coords must be a list"),
+    ({"coords": []}, "empty vector"),
+    ({"coords": [_GOOD, {**_GOOD, "val": 0.5}]}, "coordinate 1: element val"),
+    ({"coords": [_GOOD, {**_GOOD, "digits": [3]}]},
+     "coordinate 1: element digit 3"),
+    ({"coords": [{**_GOOD, "field": {"kind": "LaurentFp", "p": 3}}, _GOOD]},
+     "mixed fields"),
+])
+def test_vector_json_rejects_bad_documents(obj, name):
+    with pytest.raises(ValueError, match=name):
+        FieldVector.from_json(obj)
