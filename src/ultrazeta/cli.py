@@ -48,20 +48,29 @@ def write_report(report: dict, path):
             fh.write(text)
 
 
+def _read(reader, load, src):
+    """``reader(load(src))``; input nested past the recursion limit, in
+    the JSON parser or in the reader, is a ValueError."""
+    try:
+        return reader(load(src))
+    except RecursionError:
+        raise ValueError("JSON input nested too deeply") from None
+
+
 def _load_element(args, which) -> LocalFieldElement:
     inline = getattr(args, which)
     fname = getattr(args, f"{which}_file", None)
     if inline:
-        return LocalFieldElement.from_json(json.loads(inline))
+        return _read(LocalFieldElement.from_json, json.loads, inline)
     if fname:
         with open(fname) as fh:
-            return LocalFieldElement.from_json(json.load(fh))
+            return _read(LocalFieldElement.from_json, json.load, fh)
     raise ValueError(f"missing --{which} / --{which}-file")
 
 
 def _load_grid(path) -> GridFunction:
     with open(path) as fh:
-        return GridFunction.from_json(json.load(fh))
+        return _read(GridFunction.from_json, json.load, fh)
 
 
 def _cfg(args, keys):
@@ -85,6 +94,8 @@ def cmd_field(args):
                    "value": complex(np.exp(2j * np.pi * float(r)))}
     else:
         b = _load_element(args, "b")
+        if args.op == "div" and b.is_zero:
+            raise ValueError("division by the zero element")
         c = field_arith(a, b, args.op)
         results = {"result": c.to_json()}
     return {"command": "field", "config": _cfg(args, ["op"]),
@@ -145,7 +156,11 @@ def cmd_zeta_hinf(args):
         if args.mode == "both" else [args.mode]
     results = {}
     for mode in modes:
-        r = eng.value(s, mode)
+        try:
+            r = eng.value(s, mode)
+        except OverflowError:
+            raise ValueError(f"s = {s} and alpha = {args.alpha} take "
+                             f"{mode} out of floating-point range") from None
         results[mode] = {"value": complex(r.value),
                          "mode": r.mode, "truncation": r.truncation,
                          "certified_tail": r.tail_bound}
@@ -368,14 +383,14 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report = args.func(args)
+        elapsed = time.perf_counter() - t0
+        write_report(report, args.report)
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as err:
         print(f"ultrazeta: invalid input: {err}", file=sys.stderr)
         return 2
     except UltrazetaError as err:
         print(f"ultrazeta: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - t0
-    write_report(report, args.report)
     print(f"ultrazeta: {report['command']} finished in {elapsed:.3f}s",
           file=sys.stderr)
     return 0

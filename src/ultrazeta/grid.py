@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -300,17 +301,19 @@ class GridFunction:
         try:
             field = FieldSpec.from_json(obj["field"])
         except (KeyError, TypeError):
-            raise ValueError(f"bad grid field {obj['field']!r}") from None
+            raise ValueError(f"bad grid field "
+                             f"{reprlib.repr(obj['field'])}") from None
         for key in ("n", "L", "m"):
             if type(obj.get(key)) is not int or obj[key] < 0:
                 raise ValueError(f"grid {key} must be a non-negative int, "
-                                 f"not {obj.get(key)!r}")
+                                 f"not {reprlib.repr(obj.get(key))}")
         values = obj.get("values")
         if type(values) is not list:
             raise ValueError("grid values must be a list")
         for entry in values:
             if type(entry) is not dict:
-                raise ValueError(f"grid entry {entry!r} is not an object")
+                raise ValueError(f"grid entry {reprlib.repr(entry)} is not "
+                                 f"an object")
         n, L, m = obj["n"], obj["L"], obj["m"]
         g = GridFunction.zeros(field, n, L, m)
         cosets = [e.get("coset") for e in values]
@@ -320,8 +323,8 @@ class GridFunction:
         ordered = cells[order]
         repeats = order[1:][ordered[1:] == ordered[:-1]]
         if repeats.size:
-            raise ValueError(f"coset {cosets[repeats.min()]!r} is listed "
-                             f"twice")
+            raise ValueError(f"coset {reprlib.repr(cosets[repeats.min()])} "
+                             f"is listed twice")
         g.values.reshape(-1)[cells] = vals  # a view, row-major
         return g
 
@@ -351,12 +354,14 @@ def _coset_fault(coset, n: int, q: int, width: int):
     """Why ``coset`` is not n digit vectors of ``width`` digits in
     0..q-1, or None."""
     if type(coset) is not list or len(coset) != n:
-        return f"coset {coset!r} needs {n} digit vectors"
+        return f"coset {reprlib.repr(coset)} needs {n} digit vectors"
     for digits in coset:
         if type(digits) is not list or len(digits) != width:
-            return f"coset {coset!r} needs {width} digits per coordinate"
+            return (f"coset {reprlib.repr(coset)} needs {width} digits per "
+                    f"coordinate")
         if any(type(d) is not int or not 0 <= d < q for d in digits):
-            return f"coset {coset!r} has a digit outside 0..{q - 1}"
+            return (f"coset {reprlib.repr(coset)} has a digit outside "
+                    f"0..{q - 1}")
     return None
 
 
@@ -389,7 +394,8 @@ def _finite_complex(coset, re, im) -> complex:
     except (TypeError, OverflowError):
         val = None
     if val is None or not cmath.isfinite(val):
-        raise ValueError(f"value of coset {coset!r} is not a finite number")
+        raise ValueError(f"value of coset {reprlib.repr(coset)} is not a "
+                         f"finite number")
     return val
 
 
@@ -996,28 +1002,55 @@ def _int_norm(field: FieldSpec, c: int):
         return 0.0
     if field.kind == "LaurentFp":
         return 0.0 if c % p == 0 else 1.0
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return float(Fraction(p) ** (-v))
+    return float(Fraction(p) ** (-_p_ord(p, c)))
 
 
 # -- general polynomial multipliers (PATH B, Q_p) ------------------------------
 
-def _frac_ord(p: int, x: Fraction):
+def _p_ord(p: int, x: int):
+    """ord_p of an integer; None at 0."""
     if x == 0:
         return None
     v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
+
+
+def _frac_ord(p: int, x: Fraction):
+    if x == 0:
+        return None
+    return _p_ord(p, x.numerator) - _p_ord(p, x.denominator)
+
+
+def _scaled_terms(h: IntPolynomial, p: int, D: int):
+    """(terms, shift) with h(X / p^D) = sum c X^e / p^shift over the
+    (c, e) in terms, for every integer vector X: each coefficient carries
+    p^{D (deg h - |e|)}, and shift = D deg h."""
+    deg = h.degree()
+    return tuple((c * p ** (D * (deg - sum(e))), e) for e, c in h.terms), \
+        D * deg
+
+
+def _centre_ord(p: int, scaled, X):
+    """ord_p h(X / p^D), None at a zero, from ``_scaled_terms(h, p, D)``:
+    the order of one integer numerator, with no rational arithmetic."""
+    terms, shift = scaled
+    acc = 0
+    for c, e in terms:
+        for x, k in zip(X, e):
+            if k:
+                c *= x ** k
+        acc += c
+    v = _p_ord(p, acc)
+    return None if v is None else v - shift
+
+
+@lru_cache(maxsize=None)
+def _cell_volume(p: int, e: int) -> float:
+    """p^-e as the float nearest the exact rational."""
+    return float(Fraction(p) ** (-e))
 
 
 def _poly_weighted_integral(carrier: GridFunction, mults, tol=1e-12,
@@ -1044,41 +1077,45 @@ def _poly_weighted_integral(carrier: GridFunction, mults, tol=1e-12,
     budget = [max_cells]
     cells = list(zip(*np.nonzero(carrier.values)))
     tol_cell = tol / max(1, len(cells))
-    hasse = [(h, b, h.hasse_derivatives()) for h, b in mults]
+    # every cell centre is X / p^L with X an integer vector
+    D = carrier.L
+    hasse = [(h, b, _scaled_terms(h, p, D),
+              [(sum(gamma), _scaled_terms(dh, p, D))
+               for gamma, dh in h.hasse_derivatives()])
+             for h, b in mults]
     for idx in cells:
         val = complex(carrier.values[idx])
-        center = tuple(Fraction(int(i), p ** carrier.L) for i in idx)
-        cval, ctail = _cell_poly_integral(p, hasse, center, carrier.m,
+        X = tuple(int(i) for i in idx)
+        cval, ctail = _cell_poly_integral(p, hasse, X, D, carrier.m,
                                           tol_cell, budget)
         total += val * cval
         tail += abs(val) * ctail
     return total, tail
 
 
-def _cell_poly_integral(p, hasse, center, M, tol, budget):
-    """integral over center + B_{-M}^n of prod |h_j|^{beta_j}.
+def _cell_poly_integral(p, hasse, X, D, M, tol, budget):
+    """integral over X / p^D + B_{-M}^n of prod |h_j|^{beta_j}.
 
     Per factor the cell is classified: ``const`` when |h(center)| beats
     every Hasse perturbation, ``smooth`` when the linear term dominates
     (the pushforward of Haar measure is then uniform on a coset, closing
     the valuation distribution in closed form), otherwise it splits.
     """
-    n = len(center)
+    n = len(X)
     lnp = math.log(p)
-    vol = float(Fraction(p) ** (-M * n))
+    vol = _cell_volume(p, M * n)
     statuses = []
     sup_exp = 0.0  # - log_q of the sup bound of prod |h|^{Re b}
-    for h, b, der in hasse:
-        hc = h.eval_fraction(center)
-        oc = _frac_ord(p, hc)
+    for h, b, scaled, der in hasse:
+        oc = _centre_ord(p, scaled, X)
         lin = None
         higher = None
-        for gamma, dh in der:
-            od = _frac_ord(p, dh.eval_fraction(center))
+        for size, dscaled in der:
+            od = _centre_ord(p, dscaled, X)
             if od is None:
                 continue
-            e = od + M * sum(gamma)
-            if sum(gamma) == 1:
+            e = od + M * size
+            if size == 1:
                 lin = e if lin is None else min(lin, e)
             else:
                 higher = e if higher is None else min(higher, e)
@@ -1107,7 +1144,7 @@ def _cell_poly_integral(p, hasse, center, M, tol, budget):
     n_split = sum(1 for s, _ in statuses if s == "split")
     if n_split == 0 and n_smooth <= 1:
         out = 1.0 + 0.0j
-        for (status, e), (h, b, _) in zip(statuses, hasse):
+        for (status, e), (h, b, _, _) in zip(statuses, hasse):
             bc = complex(b)
             if status == "const":
                 out *= cmath.exp(-e * bc * lnp)
@@ -1125,10 +1162,10 @@ def _cell_poly_integral(p, hasse, center, M, tol, budget):
     tail = 0.0
     children = p ** n
     budget[0] -= children
-    step = Fraction(p) ** M
+    step = p ** (M + D)
     for off in np.ndindex(*(p,) * n):
-        child = tuple(c + int(d) * step for c, d in zip(center, off))
-        cval, ctail = _cell_poly_integral(p, hasse, child, M + 1,
+        child = tuple(x + d * step for x, d in zip(X, off))
+        cval, ctail = _cell_poly_integral(p, hasse, child, D, M + 1,
                                           tol / children, budget)
         total += cval
         tail += ctail

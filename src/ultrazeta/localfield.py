@@ -8,8 +8,10 @@ and additive-character values are exact rationals.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import Inexact
 
@@ -19,17 +21,46 @@ DEFAULT_PRECISION = 32
 INFINITE = math.inf
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: Miller-Rabin with the bases _SMALL_PRIMES is exact below this bound
+#: (Sorenson and Webster, Math. Comp. 86, 2017); larger p are refused.
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+#: a norm q^-val prints as a Fraction; its power of p may have at most this
+#: many decimal digits (Python refuses to print ints past 4,300 digits)
+_MAX_NORM_DIGITS = 4000
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < _PRIME_TEST_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for sp in _SMALL_PRIMES:
+        if n % sp == 0:
+            return n == sp
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return True
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _max_valuation(p: int) -> int:
+    """Largest |val| whose norm p^-val prints in _MAX_NORM_DIGITS digits."""
+    return int(_MAX_NORM_DIGITS / math.log10(p))
 
 
 @dataclass(frozen=True)
@@ -41,7 +72,10 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.kind not in ("Qp", "LaurentFp"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ValueError(f"unknown field kind {reprlib.repr(self.kind)}")
+        if self.p >= _PRIME_TEST_BOUND:
+            raise ValueError("p is too large: primes below 3.3e24 are "
+                             "supported")
         if not _is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
 
@@ -59,9 +93,10 @@ class FieldSpec:
         bool); a wrong type raises ValueError naming the field."""
         kind, p = obj["kind"], obj["p"]
         if type(kind) is not str:
-            raise ValueError(f"field kind must be a string, not {kind!r}")
+            raise ValueError(f"field kind must be a string, not "
+                             f"{reprlib.repr(kind)}")
         if type(p) is not int:
-            raise ValueError(f"field p must be an int, not {p!r}")
+            raise ValueError(f"field p must be an int, not {reprlib.repr(p)}")
         return FieldSpec(kind=kind, p=p)
 
 
@@ -91,9 +126,10 @@ class LocalFieldElement:
             return
         if not self.digits:
             raise ValueError("nonzero element needs at least one digit")
-        if self.digits[0] % self.field.p == 0:
+        p = self.field.p
+        if self.digits[0] % p == 0:
             raise ValueError("leading digit must be a unit")
-        if any(not (0 <= d < self.field.p) for d in self.digits):
+        if min(self.digits) < 0 or max(self.digits) >= p:
             raise ValueError("digits out of range")
 
     # -- constructors ------------------------------------------------------
@@ -210,13 +246,14 @@ class LocalFieldElement:
             raise ValueError("as_fraction is only defined over Qp")
         if self.is_zero:
             return Fraction(0)
-        p = self.field.p
-        unit = sum(d * p ** i for i, d in enumerate(self.digits))
-        return Fraction(unit) * Fraction(p) ** self.valuation
+        return Fraction(self._unit) * Fraction(self.field.p) ** self.valuation
 
     # -- arithmetic --------------------------------------------------------
 
-    def _unit_int(self) -> int:
+    @cached_property
+    def _unit(self) -> int:
+        """sum d_i p^i over the digits; Q_p elements built from a unit
+        integer carry it from construction (see ``_qp_from_unit``)."""
         p = self.field.p
         return sum(d * p ** i for i, d in enumerate(self.digits))
 
@@ -229,7 +266,7 @@ class LocalFieldElement:
             return self
         p = self.field.p
         if self.field.kind == "Qp":
-            u = (-self._unit_int()) % p ** self.precision
+            u = (-self._unit) % p ** self.precision
             return _qp_from_unit(self.field, self.valuation, u,
                                  self.precision)
         return LocalFieldElement(self.field, self.valuation,
@@ -248,8 +285,8 @@ class LocalFieldElement:
         if width <= 0:
             raise Inexact("no overlapping known digits")
         if self.field.kind == "Qp":
-            s = (self._unit_int() * p ** (self.valuation - v)
-                 + other._unit_int() * p ** (other.valuation - v))
+            s = (self._unit * p ** (self.valuation - v)
+                 + other._unit * p ** (other.valuation - v))
             s %= p ** width
             if s == 0:
                 raise Inexact("sum indistinguishable from zero "
@@ -280,7 +317,7 @@ class LocalFieldElement:
         prec = min(self.precision, other.precision)
         val = self.valuation + other.valuation
         if self.field.kind == "Qp":
-            u = self._unit_int() * other._unit_int() % p ** prec
+            u = self._unit * other._unit % p ** prec
             return _qp_from_unit(self.field, val, u, prec)
         digits = [0] * prec
         for i, a in enumerate(self.digits[:prec]):
@@ -300,8 +337,8 @@ class LocalFieldElement:
         prec = min(self.precision, other.precision)
         val = self.valuation - other.valuation
         if self.field.kind == "Qp":
-            inv = pow(other._unit_int() % p ** prec, -1, p ** prec)
-            u = self._unit_int() * inv % p ** prec
+            inv = pow(other._unit % p ** prec, -1, p ** prec)
+            u = self._unit * inv % p ** prec
             return _qp_from_unit(self.field, val, u, prec)
         a, b = self.digits, other.digits
         inv0 = pow(b[0], -1, p)
@@ -328,25 +365,30 @@ class LocalFieldElement:
         first faulty field."""
         if type(obj) is not dict:
             raise ValueError(f"a field element is a JSON object, not "
-                             f"{obj!r}")
+                             f"{reprlib.repr(obj)}")
         for key in ("field", "val", "digits"):
             if key not in obj:
                 raise ValueError(f"field element has no {key!r}")
         try:
             fld = FieldSpec.from_json(obj["field"])
         except (KeyError, TypeError):
-            raise ValueError(f"bad element field {obj['field']!r}") from None
+            raise ValueError(f"bad element field "
+                             f"{reprlib.repr(obj['field'])}") from None
         val, digits = obj["val"], obj["digits"]
         if type(val) is not int and val not in ("inf", None):
             raise ValueError(f"element val must be an int, \"inf\" or null, "
-                             f"not {val!r}")
+                             f"not {reprlib.repr(val)}")
+        if type(val) is int and abs(val) > _max_valuation(fld.p):
+            raise ValueError(f"element val must lie within "
+                             f"+-{_max_valuation(fld.p)} for p = {fld.p}, "
+                             f"so that its norm prints")
         if type(digits) is not list:
             raise ValueError(f"element digits must be a list, not "
-                             f"{digits!r}")
+                             f"{reprlib.repr(digits)}")
         for d in digits:
             if type(d) is not int or not 0 <= d < fld.p:
-                raise ValueError(f"element digit {d!r} is not an int in "
-                                 f"0..{fld.p - 1}")
+                raise ValueError(f"element digit {reprlib.repr(d)} is not an "
+                                 f"int in 0..{fld.p - 1}")
         if val in ("inf", None):
             return LocalFieldElement.zero(fld)
         return LocalFieldElement.from_digits(fld, val, digits)
@@ -361,13 +403,17 @@ class LocalFieldElement:
 
 
 def _qp_from_unit(field, val, unit, prec):
+    """The Q_p element p^val * unit, for a unit 0 < unit < p^prec prime to
+    p; it keeps ``unit``, so products never rebuild it from the digits."""
     p = field.p
     digits = []
     u = unit
     for _ in range(prec):
         digits.append(u % p)
         u //= p
-    return LocalFieldElement(field, val, tuple(digits))
+    out = LocalFieldElement(field, val, tuple(digits))
+    out.__dict__["_unit"] = unit
+    return out
 
 
 def _qp_from_unit_shifted(field, val, s, width):
@@ -416,10 +462,9 @@ def char_fraction(x: LocalFieldElement) -> Fraction:
             return Fraction(0)
         if x.known_to < 0:
             raise Inexact("negative-exponent digits not fully resolved")
-        p = x.field.p
-        r = sum(Fraction(x.digit_at(j), p ** (-j))
-                for j in range(x.valuation, 0))
-        return r % 1
+        # sum_{v <= j < 0} d_j p^j = (the unit's first -v digits) / p^-v
+        pk = x.field.p ** -x.valuation
+        return Fraction(x._unit % pk, pk)
     if x.valuation > -1:
         return Fraction(0)
     if x.known_to <= -1:
@@ -500,11 +545,11 @@ class FieldVector:
         ValueError naming the first faulty field."""
         if type(obj) is not dict or "coords" not in obj:
             raise ValueError(f"a field vector is a JSON object with "
-                             f"coords, not {obj!r}")
+                             f"coords, not {reprlib.repr(obj)}")
         coords = obj["coords"]
         if type(coords) is not list:
             raise ValueError(f"vector coords must be a list, not "
-                             f"{coords!r}")
+                             f"{reprlib.repr(coords)}")
         out = []
         for i, c in enumerate(coords):
             try:

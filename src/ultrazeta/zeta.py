@@ -235,12 +235,14 @@ def _igusa_lift(f, field, K, budget):
             box = tuple(min(wi, k + 1) for wi in w)
         new_open = []
         survivors = 0
+        # every child of every open cell is visited: check before any is
+        total_children = len(open_cells) * q ** n
+        spent += total_children
+        if spent > budget:
+            raise BudgetExceeded(
+                f"lifting budget exhausted at level {k + 1}")
         for cell in open_cells:
             for child in _cell_children(cell, field, k):
-                spent += 1
-                if spent > budget:
-                    raise BudgetExceeded(
-                        f"lifting budget exhausted at level {k + 1}")
                 if not _vanishes_mod(f, field, child, k + 1):
                     continue
                 survivors += 1
@@ -264,7 +266,6 @@ def _igusa_lift(f, field, K, budget):
                 wt = qfr ** (-n * (k + 1)) * (1 - 1 / qfr)
                 for j in range(lvl, K + 1):
                     base[j] += wt * qfr ** (-(j - lvl))
-        total_children = len(open_cells) * q ** n
         base[k] += (total_children - survivors) * qfr ** (-n * (k + 1))
         open_cells = new_open
     if weights is None:
@@ -511,6 +512,8 @@ class HinfZetaEngine:
                  pole_depth: int = 24, guard: float = 1e-6):
         self.field = field or Qp(3)
         self.n, self.d, self.alpha = n, d, float(alpha)
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, not {self.alpha}")
         self.q = self.field.q
         self.guard = guard
         if f is None:
@@ -539,6 +542,8 @@ class HinfZetaEngine:
 
     def value(self, s, mode: str = "factored_continuation",
               tol: float = 1e-14, raw: bool = False) -> EvalResult:
+        if not cmath.isfinite(complex(s)):
+            raise ValueError(f"s must be finite, not {s}")
         if mode == "sphere_series":
             return self.sphere_series(s, tol=tol)
         if mode == "factored_continuation":
@@ -720,54 +725,63 @@ def cells_to_rational(gh: GridFunction, specs) -> RationalFunctionT:
 
     q = gh.field.q
     qf = Fraction(q)
-    fexp = _axis_norm_exps(gh.field.kind, q, gh.L, gh.m)
+    fexp = _axis_norm_exps(gh.field.kind, q, gh.L, gh.m).tolist()
     meas = qf ** (-gh.m)
     exact = gh.is_exact
-    cells = list(zip(*np.nonzero(gh.values)))
+    nz = np.nonzero(gh.values)
     # only axes whose zero cell carries mass contribute denominator factors
-    active = sorted({ax for idx in cells for ax in range(gh.n)
-                     if specs[ax] is not None and idx[ax] == 0})
+    active = [ax for ax in range(gh.n)
+              if specs[ax] is not None and (nz[ax] == 0).any()]
     factors = {ax: Poly([Fraction(1)] + [Fraction(0)] * (specs[ax][0] - 1)
                         + [-qf ** (-specs[ax][1])]) for ax in active}
     den = Poly([Fraction(1)])
     for ax in active:
         den = den * factors[ax]
-    shift = max((sum(int(fexp[i]) * specs[ax][0]
-                     for ax, i in enumerate(idx)
-                     if specs[ax] is not None and i != 0 and fexp[i] > 0)
-                 for idx in cells), default=0)
+    # per (axis, index): the cell's coefficient factor, built once per
+    # distinct norm exponent, its t-power and its share of the shift
+    fe = np.array(fexp, dtype=np.int64)
+    fe[0] = 0
+    coef, tdeg, lead = [], [], []
+    for ax in range(gh.n):
+        if specs[ax] is None:
+            coef.append([meas if exact else float(meas)] * len(fexp))
+            tdeg.append(0 * fe)
+            lead.append(0 * fe)
+            continue
+        N, vv = specs[ax]
+        at_zero = (1 - 1 / qf) * qf ** (-vv * gh.m)
+        by_exp = {e: meas * qf ** (e * (vv - 1)) for e in set(fexp[1:])}
+        if not exact:
+            at_zero = float(at_zero)
+            by_exp = {e: float(w) for e, w in by_exp.items()}
+        coef.append([at_zero] + [by_exp[e] for e in fexp[1:]])
+        tdeg.append(-fe * N)
+        tdeg[-1][0] = N * gh.m
+        lead.append(np.where(fe > 0, fe * N, 0))
+    shares = sum(lead[ax][nz[ax]] for ax in range(gh.n))
+    shift = int(shares.max()) if shares.size else 0
+    tpows = (shift + sum(tdeg[ax][nz[ax]] for ax in range(gh.n))).tolist()
+    # the product of the active factors of each set of axes off zero
+    products = {}
     num_terms = {}
-    for idx in cells:
-        val = gh.values[idx] if exact else complex(gh.values[idx])
-        piece_coeff = Fraction(1) if exact else 1.0 + 0.0j
-        tpow = shift
-        cof = Poly([Fraction(1)])
+    one = Fraction(1) if exact else 1.0 + 0.0j
+    zero = Fraction(0) if exact else 0.0 + 0.0j
+    vals = gh.values[nz] if exact else gh.values[nz].astype(complex)
+    for val, tpow, idx in zip(vals.tolist(), tpows,
+                              zip(*(a.tolist() for a in nz))):
+        piece_coeff = one
         for ax, i in enumerate(idx):
-            spec = specs[ax]
-            if spec is None:
-                piece_coeff *= meas if exact else float(meas)
-                continue
-            N, vv = spec
-            if i == 0:
-                # zero cell: geometric numerator, denominator factor active
-                piece_coeff *= (1 - 1 / qf) * qf ** (-vv * gh.m) if exact \
-                    else float((1 - 1 / qf) * qf ** (-vv * gh.m))
-                tpow += N * gh.m
-            else:
-                fe = int(fexp[i])
-                w = meas * qf ** (fe * (vv - 1))
-                piece_coeff *= w if exact else float(w)
-                tpow -= fe * N
-                if ax in active:
-                    cof = cof * factors[ax]
-        for k, c in enumerate(cof.coeffs):
-            if c == 0:
-                continue
+            piece_coeff *= coef[ax][i]
+        axes = tuple(ax for ax in active if idx[ax])
+        if axes not in products:
+            cof = Poly([Fraction(1)])
+            for ax in axes:
+                cof = cof * factors[ax]
+            products[axes] = [(k, c if exact else complex(c))
+                              for k, c in enumerate(cof.coeffs) if c != 0]
+        for k, c in products[axes]:
             key = tpow + k
-            add = (val * piece_coeff * c) if exact \
-                else complex(val) * piece_coeff * complex(c)
-            num_terms[key] = num_terms.get(key, Fraction(0) if exact
-                                           else 0.0 + 0.0j) + add
+            num_terms[key] = num_terms.get(key, zero) + val * piece_coeff * c
     if not num_terms:
         return RationalFunctionT.const(Fraction(0) if exact else 0.0j, q)
     strip = min(min(num_terms), shift)

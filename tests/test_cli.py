@@ -313,3 +313,122 @@ def test_field_bad_element_file_exits_two(tmp_path):
     src.write_text(json.dumps({**_ELEM, "digits": [1.5, 7]}))
     assert main(["field", "--op", "add", "--a", json.dumps(_ELEM),
                  "--b-file", str(src)]) == 2
+
+
+# -- inputs that hung or printed a traceback -----------------------------------
+
+def _one_line_exit_two(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("ultrazeta: invalid input: ")
+    assert err.count("\n") == 1
+    return err
+
+
+def _qp_elem(p, val, digits=(1,)):
+    return json.dumps({"field": {"kind": "Qp", "p": p}, "val": val,
+                       "digits": list(digits)})
+
+
+@pytest.mark.parametrize("val", [10 ** 30, 100_000, -100_000, 8384])
+def test_field_val_whose_norm_cannot_print_exits_two(tmp_path, capsys, val):
+    report = tmp_path / "r.json"
+    err = _one_line_exit_two(["--report", str(report), "field", "--op",
+                              "norm", "--a", _qp_elem(3, val)], capsys)
+    assert "8383" in err
+    assert not report.exists()
+
+
+def test_field_largest_val_prints(tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["--report", str(report), "field", "--op", "norm",
+                 "--a", _qp_elem(3, -8383)]) == 0
+    assert json.loads(report.read_text())["results"]["norm"] \
+        == str(3 ** 8383)
+
+
+def test_field_large_prime(tmp_path):
+    p = 2 ** 61 - 1
+    report = tmp_path / "r.json"
+    assert main(["--report", str(report), "field", "--op", "mul",
+                 "--a", _qp_elem(p, 3, [1, 5]),
+                 "--b", _qp_elem(p, -1, [7, p - 1])]) == 0
+    out = json.loads(report.read_text())["results"]["result"]
+    # (1 + 5p)(7 + (p - 1)p) = 7 + 34p mod p^2
+    assert (out["val"], out["digits"]) == (2, [7, 34])
+
+
+@pytest.mark.parametrize("p", [2 ** 89 - 1, 2 ** 61 + 1])
+def test_field_bad_prime_exits_two(capsys, p):
+    _one_line_exit_two(["field", "--op", "norm", "--a", _qp_elem(p, 0)],
+                       capsys)
+
+
+@pytest.mark.parametrize("kind", ["Qp", "LaurentFp"])
+def test_field_division_by_zero_exits_two(capsys, kind):
+    zero = json.dumps({"field": {"kind": kind, "p": 3}, "val": "inf",
+                       "digits": []})
+    one = json.dumps({"field": {"kind": kind, "p": 3}, "val": 0,
+                      "digits": [1]})
+    err = _one_line_exit_two(["field", "--op", "div", "--a", one,
+                              "--b", zero], capsys)
+    assert "zero" in err
+
+
+def test_unwritable_report_exits_two(tmp_path, capsys):
+    _one_line_exit_two(["--report", str(tmp_path / "no" / "r.json"),
+                        "field", "--op", "norm", "--a", _qp_elem(3, 0)],
+                       capsys)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "nan", "--s", "0.7"],
+    ["--alpha", "inf", "--s", "0.7"],
+    ["--alpha", "1e300", "--s", "0.7"],
+    ["--alpha", "1", "--s", "nan"],
+    ["--alpha", "1", "--s", "inf"],
+    ["--alpha", "1", "--s", "1e300"],
+    ["--alpha", "1", "--s", "0.5", "--s-im", "inf"],
+])
+def test_hinf_non_finite_input_exits_two(capsys, flags):
+    _one_line_exit_two(["zeta", "hinf", "--n", "2", "--d", "2"] + flags
+                       + ["--mode", "both"], capsys)
+
+
+def _nested(depth, inner="1"):
+    return "[" * depth + inner + "]" * depth
+
+
+_GRID_HEAD = '{"field": {"kind": "Qp", "p": 3}, "n": 1, "L": 0, "m": 1, '
+
+
+@pytest.mark.parametrize("text", [
+    _nested(20_000),
+    _nested(900),
+    '{"field": ' + _nested(900) + "}",
+    _GRID_HEAD + '"values": ' + _nested(900) + "}",
+    _GRID_HEAD + '"values": [{"coset": ' + _nested(900) + ', "re": 1}]}',
+])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, text):
+    src = tmp_path / "g.json"
+    src.write_text(text)
+    _one_line_exit_two(["fourier", "--input", str(src),
+                        "--out", str(tmp_path / "o.json")], capsys)
+    _one_line_exit_two(["sobolev", "--input", str(src), "--l", "0"],
+                       capsys)
+    _one_line_exit_two(["field", "--op", "norm", "--a", text], capsys)
+    _one_line_exit_two(["field", "--op", "norm", "--a-file", str(src)],
+                       capsys)
+
+
+@pytest.mark.parametrize("method", ["lift", "brute"])
+def test_igusa_large_prime_exceeds_budget(capsys, method):
+    # one level of the lift would visit 2^61 children: refused up front
+    rc = main(["zeta", "igusa", "--p", str(2 ** 61 - 1), "--n", "1",
+               "--poly", "x1^2", "--terms", "4", "--method", method])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("ultrazeta: BudgetExceeded: ")
+    assert "Traceback" not in err

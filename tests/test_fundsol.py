@@ -206,3 +206,57 @@ def test_division_check_rejects_vanishing_coefficient():
         zeta_exact_in_t(gh, f, side="frequency")
     with pytest.raises(UnsupportedPolynomial):
         division_check(f, LaurentFp(3))
+
+
+# -- division_check still sees a wrong table or a wrong element ----------------
+
+@pytest.mark.parametrize("field", [Qp(3), LaurentFp(3)])
+@pytest.mark.parametrize("bad", [5, 27, 80])
+def test_division_check_fails_on_a_wrong_norm_exponent(monkeypatch, field,
+                                                       bad):
+    from ultrazeta import grid
+
+    table = grid._axis_norm_exps
+
+    def off_by_one(*key):
+        out = table(*key).copy()
+        out[bad] += 1
+        return out
+
+    monkeypatch.setattr(grid, "_axis_norm_exps", off_by_one)
+    rep = division_check(XI12, field)
+    # every cell with the index on either axis fails, and no other
+    assert rep.trials == 80 * 80
+    assert len(rep.failures) == 2 * 80 - 1
+    assert all(bad in f["cell"] for f in rep.failures)
+
+
+@pytest.mark.parametrize("field", [Qp(3), LaurentFp(3)])
+@pytest.mark.parametrize("bad, zero", [(3, False), (27, False), (60, False),
+                                       (9, True)])
+def test_division_check_fails_on_a_wrong_element_digit(monkeypatch, field,
+                                                       bad, zero):
+    from ultrazeta import fundsol
+    from ultrazeta.grid import _axis_digits
+
+    build = fundsol._element_from_rep
+
+    def wrong_digit(fld, const, L, m, index):
+        if index != bad:
+            return build(fld, const, L, m, index)
+        digits = _axis_digits(bad, fld.q, L + m)
+        low = next(t for t, d in enumerate(digits) if d)
+        if zero:  # the only nonzero digit dropped: the zero element
+            digits[low] = 0
+        else:     # a unit digit below the first one: the order drops
+            digits[low - 1] = 1
+        if fld.kind == "Qp":
+            return LocalFieldElement.from_digits(fld, -L, digits)
+        return LocalFieldElement.from_laurent_coeffs(
+            fld, {e - L: d for e, d in enumerate(digits)})
+
+    monkeypatch.setattr(fundsol, "_element_from_rep", wrong_digit)
+    rep = division_check(XI12, field)
+    assert rep.trials == 80 * 80
+    assert len(rep.failures) == 2 * 80 - 1
+    assert all(bad in f["cell"] for f in rep.failures)

@@ -17,6 +17,7 @@ from ultrazeta.grid import (MAX_GRID_CELLS, GridFunction, Multiplier,
                             _axis_char_weights, _axis_digits, _axis_negation,
                             _axis_norm_exps, _qp_char_fraction, _spectrum,
                             inverse_fourier_transform, sobolev_norm_with_tail)
+from ultrazeta.grid import _centre_ord, _frac_ord, _scaled_terms
 from ultrazeta.intpoly import IntPolynomial
 from ultrazeta.localfield import LaurentFp, LocalFieldElement, Qp
 from ultrazeta.pdo import riesz_pairing
@@ -735,3 +736,78 @@ def test_reflect_shares_no_memory(field, n):
     assert r.values.flags.writeable
     sobolev_norm(g, 0)
     assert reflect(g).values.flags.writeable
+
+
+# -- integer cell orders of the symbol refinement ------------------------------
+
+@st.composite
+def _poly_at_centre(draw):
+    """An integer polynomial (n <= 3, degree <= 4, coefficients often
+    divisible by p) and a refinement centre i / p^L + d p^M, sometimes a
+    zero of the polynomial."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    L, M = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    i = [draw(st.integers(0, p ** (L + M) - 1)) for _ in range(n)]
+    d = [draw(st.integers(0, p - 1)) for _ in range(n)]
+    X = tuple(a + b * p ** (M + L) for a, b in zip(i, d))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        left, e = 4, []
+        for _ in range(n):
+            e.append(draw(st.integers(0, left)))
+            left -= e[-1]
+        terms[tuple(e)] = draw(st.integers(-30, 30)) \
+            * p ** draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        # p^L x_j - X_j vanishes at the centre; so does every multiple
+        j = draw(st.integers(0, n - 1))
+        unit = tuple(int(k == j) for k in range(n))
+        c = draw(st.integers(1, 3))
+        terms = {unit: c * p ** L, (0,) * n: -c * X[j]}
+    return p, L, X, IntPolynomial.make(n, terms)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_poly_at_centre())
+def test_integer_cell_order_matches_fraction_order(case):
+    p, L, X, h = case
+    centre = tuple(Fraction(x, p ** L) for x in X)
+    for poly in [h] + [dh for _, dh in h.hasse_derivatives()]:
+        assert _centre_ord(p, _scaled_terms(poly, p, L), X) \
+            == _frac_ord(p, poly.eval_fraction(centre))
+
+
+def test_integer_cell_order_exact_zeros():
+    h = IntPolynomial.make(2, {(2, 0): 1, (0, 2): -1})  # x1^2 - x2^2
+    for p, L in ((3, 0), (3, 2), (2, 1)):
+        assert _centre_ord(p, _scaled_terms(h, p, L), (5, 5)) is None
+        assert _centre_ord(p, _scaled_terms(h, p, L), (0, 0)) is None
+    zero = IntPolynomial.make(2, {})
+    assert _centre_ord(3, _scaled_terms(zero, 3, 1), (1, 2)) is None
+    assert _centre_ord(3, _scaled_terms(h, 3, 1), (2, 1)) \
+        == _frac_ord(3, Fraction(3, 9)) == -1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("text, k", [("x1^2+x2^2", 2), ("x1*x2", 2),
+                                     ("x1^3-2*x1*x2^2", 3)])
+def test_symbol_refinement_scales_with_support(p, text, k):
+    # xi = x / p^L maps X + p^{M+L} Z_p^n onto the cell X / p^L + p^M Z_p^n
+    # and |h(xi)| = p^{kL} |h(x)| for h homogeneous of degree k, so a cell
+    # of an L = 1 carrier integrates to p^{nL + kL beta} times the same
+    # cell, read at L = 0, of a carrier one digit finer
+    from ultrazeta.grid import _poly_weighted_integral
+    from ultrazeta.intpoly import parse_polynomial
+
+    h = parse_polynomial(text, 2)
+    for beta in (0.7, 1.5):
+        for idx in [(0, 0), (1, 0), (p, 2 * p - 1), (p + 1, 1)]:
+            coarse = GridFunction.zeros(Qp(p), 2, 1, 1)
+            coarse.values[idx] = 1.0
+            fine = GridFunction.zeros(Qp(p), 2, 0, 2)
+            fine.values[idx] = 1.0
+            a, ta = _poly_weighted_integral(coarse, [(h, beta)])
+            b, tb = _poly_weighted_integral(fine, [(h, beta)])
+            scale = float(p) ** (2 + k * beta)
+            assert abs(a - scale * b) <= 1e-10 * abs(a) + ta + scale * tb

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrazeta.errors import Inexact
 from ultrazeta.localfield import (FieldVector, LaurentFp,
@@ -9,6 +10,8 @@ from ultrazeta.localfield import (FieldVector, LaurentFp,
                                   char_fraction, char_fraction_of_rational,
                                   field_arith, sphere_measure,
                                   valuation_and_norm)
+from ultrazeta.localfield import (_PRIME_TEST_BOUND, FieldSpec, _is_prime,
+                                  _max_valuation)
 
 F3 = Qp(3)
 F5T = LaurentFp(5)
@@ -184,3 +187,166 @@ _GOOD = {"field": {"kind": "Qp", "p": 3}, "val": 0, "digits": [1]}
 def test_vector_json_rejects_bad_documents(obj, name):
     with pytest.raises(ValueError, match=name):
         FieldVector.from_json(obj)
+
+
+# -- Q_p arithmetic against the digit-level definition -------------------------
+
+def _ref_unit(x):
+    p = x.field.p
+    return sum(d * p ** i for i, d in enumerate(x.digits))
+
+
+def _ref_from_unit(field, val, unit, prec):
+    p = field.p
+    digits = []
+    for _ in range(prec):
+        digits.append(unit % p)
+        unit //= p
+    return LocalFieldElement(field, val, tuple(digits))
+
+
+def _ref_from_unit_shifted(field, val, s, width):
+    p = field.p
+    shift = 0
+    while s % p == 0:
+        s //= p
+        shift += 1
+    return _ref_from_unit(field, val + shift, s, width - shift)
+
+
+def _ref_neg(a):
+    if a.is_zero:
+        return a
+    return _ref_from_unit(a.field, a.valuation,
+                          (-_ref_unit(a)) % a.field.p ** a.precision,
+                          a.precision)
+
+
+def _ref_add(a, b):
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    p = a.field.p
+    v = min(a.valuation, b.valuation)
+    width = min(a.known_to, b.known_to) - v
+    if width <= 0:
+        return "inexact"
+    s = (_ref_unit(a) * p ** (a.valuation - v)
+         + _ref_unit(b) * p ** (b.valuation - v)) % p ** width
+    if s == 0:
+        return "inexact"
+    return _ref_from_unit_shifted(a.field, v, s, width)
+
+
+def _ref_mul(a, b):
+    if a.is_zero or b.is_zero:
+        return LocalFieldElement.zero(a.field)
+    prec = min(a.precision, b.precision)
+    u = _ref_unit(a) * _ref_unit(b) % a.field.p ** prec
+    return _ref_from_unit(a.field, a.valuation + b.valuation, u, prec)
+
+
+def _outcome(op, a, b):
+    try:
+        return op(a, b)
+    except Inexact:
+        return "inexact"
+
+
+@st.composite
+def _qp_elements(draw, field):
+    if draw(st.integers(0, 9)) == 0:
+        return LocalFieldElement.zero(field)
+    digits = draw(st.lists(st.integers(0, field.p - 1), min_size=1,
+                           max_size=40))
+    digits[0] = max(digits[0], 1)
+    return LocalFieldElement.from_digits(field, draw(st.integers(-6, 6)),
+                                         digits)
+
+
+@st.composite
+def _qp_triples(draw):
+    field = Qp(draw(st.sampled_from([2, 3, 5, 7, 101])))
+    return tuple(draw(_qp_elements(field)) for _ in range(3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_qp_triples())
+def test_qp_arithmetic_matches_digit_reference(elems):
+    a, b, c = elems
+    # products and sums carry their unit integer; use them as operands too
+    derived = [x for x in (_outcome(LocalFieldElement.__mul__, a, c),
+                           _outcome(LocalFieldElement.__add__, b, c),
+                           -a) if x != "inexact"]
+    for x in [a, b, c] + derived:
+        assert -x == _ref_neg(x)
+        for y in [a, b, c] + derived:
+            for op, ref in ((LocalFieldElement.__mul__, _ref_mul),
+                            (LocalFieldElement.__add__, _ref_add),
+                            (LocalFieldElement.__sub__,
+                             lambda u, w: _ref_add(u, _ref_neg(w)))):
+                got = _outcome(op, x, y)
+                assert got == ref(x, y)
+                if got != "inexact" and not got.is_zero:
+                    assert got._unit == _ref_unit(got)
+
+
+def test_qp_product_truncates_at_the_shorter_precision():
+    a = LocalFieldElement.from_digits(F3, 0, [1, 2, 2, 1, 0, 2])
+    b = LocalFieldElement.from_digits(F3, -2, [2, 1, 1])
+    assert a * b == _ref_mul(a, b)
+    assert (a * b).precision == 3
+    assert (a * b * a).digits == _ref_mul(_ref_mul(a, b), a).digits
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(5000) if _is_prime(n)] \
+        == [n for n in range(5000) if trial(n)]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2 ** 61 - 1, True), (2 ** 31 - 1, True), (1_000_000_007, True),
+    (3_215_031_751, False),                  # strong pseudoprime to 2..7
+    (3_825_123_056_546_413_051, False),      # strong pseudoprime to 2..23
+    (318_665_857_834_031_151_167_461, False),  # strong pseudoprime to 2..37
+    (561, False), (2 ** 61 + 1, False),
+])
+def test_is_prime_known_values(n, prime):
+    assert _is_prime(n) is prime
+
+
+def test_field_refuses_p_past_the_exact_test():
+    assert FieldSpec("Qp", 2 ** 61 - 1).p == 2 ** 61 - 1
+    for p in (_PRIME_TEST_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="below 3.3e24"):
+            FieldSpec("Qp", p)
+
+
+def test_element_json_bounds_val():
+    for p in (3, 5, 2 ** 61 - 1):
+        top = _max_valuation(p)
+        assert len(str(Fraction(p) ** top)) <= 4001
+        for val in (top, -top):
+            x = LocalFieldElement.from_json(
+                {"field": {"kind": "Qp", "p": p}, "val": val, "digits": [1]})
+            assert x.valuation == val
+        for val in (top + 1, -top - 1, 10 ** 30):
+            with pytest.raises(ValueError, match="element val must lie"):
+                LocalFieldElement.from_json(
+                    {"field": {"kind": "Qp", "p": p}, "val": val,
+                     "digits": [1]})
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_qp_triples())
+def test_qp_char_fraction_matches_digit_sum(elems):
+    for x in elems:
+        if x.is_zero or x.known_to < 0:
+            continue
+        p = x.field.p
+        want = sum(Fraction(x.digit_at(j), p ** (-j))
+                   for j in range(min(x.valuation, 0), 0)) % 1
+        assert char_fraction(x) == want

@@ -23,6 +23,8 @@ from ultrazeta.zeta import (GeneralizedProgression, HeatKernel,
                             monomial_zeta_closed, predict_poles,
                             snc_form_Z0, snc_pole_progressions)
 from ultrazeta.zeta import _self_similarity_weights
+from ultrazeta.grid import _axis_norm_exps
+from ultrazeta.zeta import cells_to_rational
 
 F3 = Qp(3)
 F5 = Qp(5)
@@ -587,3 +589,114 @@ def test_heat_kernel_scaling():
         # scaled by t, read off on the log scale
         assert math.log(hk_t.sphere_value(j)) == pytest.approx(
             0.25 * math.log(hk_1.sphere_value(j)), rel=1e-9)
+
+
+# -- cells_to_rational against the per-cell sum --------------------------------
+
+def _cells_to_rational_per_cell(gh, specs):
+    """The cell sum with every coefficient and factor product rebuilt per
+    cell, in the same order of float operations."""
+    q = gh.field.q
+    qf = Fraction(q)
+    fexp = _axis_norm_exps(gh.field.kind, q, gh.L, gh.m)
+    meas = qf ** (-gh.m)
+    exact = gh.is_exact
+    cells = list(zip(*np.nonzero(gh.values)))
+    active = sorted({ax for idx in cells for ax in range(gh.n)
+                     if specs[ax] is not None and idx[ax] == 0})
+    factors = {ax: Poly([Fraction(1)] + [Fraction(0)] * (specs[ax][0] - 1)
+                        + [-qf ** (-specs[ax][1])]) for ax in active}
+    den = Poly([Fraction(1)])
+    for ax in active:
+        den = den * factors[ax]
+    shift = max((sum(int(fexp[i]) * specs[ax][0]
+                     for ax, i in enumerate(idx)
+                     if specs[ax] is not None and i != 0 and fexp[i] > 0)
+                 for idx in cells), default=0)
+    num_terms = {}
+    for idx in cells:
+        val = gh.values[idx] if exact else complex(gh.values[idx])
+        piece_coeff = Fraction(1) if exact else 1.0 + 0.0j
+        tpow = shift
+        cof = Poly([Fraction(1)])
+        for ax, i in enumerate(idx):
+            spec = specs[ax]
+            if spec is None:
+                piece_coeff *= meas if exact else float(meas)
+                continue
+            N, vv = spec
+            if i == 0:
+                piece_coeff *= (1 - 1 / qf) * qf ** (-vv * gh.m) if exact \
+                    else float((1 - 1 / qf) * qf ** (-vv * gh.m))
+                tpow += N * gh.m
+            else:
+                fe = int(fexp[i])
+                w = meas * qf ** (fe * (vv - 1))
+                piece_coeff *= w if exact else float(w)
+                tpow -= fe * N
+                if ax in active:
+                    cof = cof * factors[ax]
+        for k, c in enumerate(cof.coeffs):
+            if c == 0:
+                continue
+            key = tpow + k
+            add = (val * piece_coeff * c) if exact \
+                else complex(val) * piece_coeff * complex(c)
+            num_terms[key] = num_terms.get(key, Fraction(0) if exact
+                                           else 0.0 + 0.0j) + add
+    if not num_terms:
+        return RationalFunctionT.const(Fraction(0) if exact else 0.0j, q)
+    strip = min(min(num_terms), shift)
+    num_terms = {k - strip: v for k, v in num_terms.items()}
+    if shift > strip:
+        den = den * Poly([Fraction(0)] * (shift - strip) + [Fraction(1)])
+    top = max(num_terms)
+    num = Poly([num_terms.get(k, Fraction(0) if exact else 0.0j)
+                for k in range(top + 1)])
+    return RationalFunctionT.make(num, den, q)
+
+
+@st.composite
+def _cell_grids(draw):
+    """A grid on either field (n = 1..3, at most 729 cells), exact or
+    complex, with zero cells charged or empty, and per-axis specs."""
+    field = (Qp if draw(st.booleans()) else LaurentFp)(
+        draw(st.sampled_from([2, 3])))
+    n = draw(st.integers(1, 3))
+    p = field.p
+    widths = [w for w in range(4) if p ** (w * n) <= 729]
+    width = draw(st.sampled_from(widths))
+    L = draw(st.integers(0, width))
+    shape = (p ** width,) * n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exact = draw(st.booleans())
+    if exact:
+        vals = np.empty(shape, dtype=object)
+        nums, dens = rng.integers(-9, 10, shape), rng.integers(1, 7, shape)
+        for idx in np.ndindex(shape):
+            vals[idx] = Fraction(int(nums[idx]), int(dens[idx]))
+    else:
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    keep = rng.random(shape) < draw(st.sampled_from([0.2, 0.6, 1.0]))
+    vals[~keep] = Fraction(0) if exact else 0
+    for ax in range(n):
+        if draw(st.booleans()):  # an empty zero cell on this axis
+            vals[(slice(None),) * ax + (0,)] = Fraction(0) if exact else 0
+    specs = [draw(st.one_of(st.none(), st.tuples(st.integers(1, 3),
+                                                  st.integers(1, 3))))
+             for _ in range(n)]
+    return GridFunction(field, n, L, width - L, vals), specs
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_cell_grids())
+def test_cells_to_rational_matches_per_cell_sum(case):
+    g, specs = case
+    got = cells_to_rational(g, specs)
+    want = _cells_to_rational_per_cell(g, specs)
+    assert got.den.coeffs == want.den.coeffs
+    if g.is_exact:
+        assert got.num.coeffs == want.num.coeffs
+        assert all(type(c) is Fraction for c in got.num.coeffs)
+    else:  # bitwise: the reprs of the floats, signed zeros included
+        assert repr(got.num.coeffs) == repr(want.num.coeffs)
