@@ -20,7 +20,8 @@ import numpy as np
 from . import fundsol as fundsol_mod
 from . import pdo, zeta
 from .errors import UltrazetaError
-from .grid import GridFunction, fourier_transform, sobolev_norm_with_tail
+from .grid import GridFunction, fourier_transform, \
+    inverse_fourier_transform, sobolev_norm_with_tail
 from .intpoly import parse_polynomial
 from .localfield import FieldSpec, LocalFieldElement, char_fraction, \
     field_arith, valuation_and_norm
@@ -104,10 +105,8 @@ def cmd_field(args):
 
 def cmd_fourier(args):
     g = _load_grid(args.input)
-    gh = fourier_transform(g)
-    if args.inverse:
-        from .grid import reflect
-        gh = reflect(gh)
+    gh = inverse_fourier_transform(g) if args.inverse \
+        else fourier_transform(g)
     with open(args.output, "w") as fh:
         fh.writelines([gh.to_json_text(dense=args.dense), "\n"])
     return {"command": "fourier", "config": _cfg(args, ["input", "output",

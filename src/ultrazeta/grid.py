@@ -6,21 +6,25 @@ pi^{-L} R_K / pi^m R_K are indexed 0..q^{L+m}-1 by their digit expansion
 (least-significant digit at exponent -L).  Over Q_p the Fourier transform is
 then a scaled DFT of Z/q^{L+m}, one ``np.fft.fftn`` that writes every axis
 into a single preallocated array (the input's own array where the caller
-owns it, as convolution and the metric do) and is scaled there; over
-F_p((T)) a digit-reversed tensor power of p-point DFTs, evaluated over all
-n(L+m) digits of the grid at once as one matrix product per group of c
-digits (p^c <= 64, the matrix F_p^{tensor c} built from exact integer
-exponents) and one digit-reversal gather per axis.  Either way the
-involution F(F g)(x) = g(-x) and Parseval hold at double precision, with
-every character exponent exact.
+owns it, as convolution does) and is scaled there; over F_p((T)) a
+digit-reversed tensor power of p-point DFTs, evaluated over all n(L+m)
+digits of the grid at once as one matrix product per group of c digits
+(p^c <= 16, the fastest size on one BLAS thread; the matrix F_p^{tensor c}
+built from exact integer exponents) and one digit-reversal gather per axis.
+The inverse transform uses the conjugate kernel, not a transform and a
+reflection.  Either way the involution F(F g)(x) = g(-x) and Parseval hold
+at double precision, with every character exponent exact.
 
-Readers that are called again and again on one grid with different
-parameters (Sobolev norms per l, pairings per T, Riesz pairings per
-alpha) compute the grid's spectrum once and keep it, read-only, on the
-grid; the grid's ``values`` then become read-only too, so that a later
-write raises ValueError instead of leaving the spectrum stale.
-Convolution reuses a kept spectrum but keeps none, and
-``fourier_transform`` always returns a new writable array.
+Sobolev norms and the metric need no transform: [xi]^l is q^{kl} on the
+shell ||xi|| = q^k, whose spectral energy is read on the x side by block
+sums (``_shell_energies``).  Readers that are called again and again on
+one grid with different parameters compute what they need once and keep
+it, read-only, on the grid: Sobolev norms (per l) the m+1 shell energies,
+pairings (per T) and Riesz pairings (per alpha) the spectrum.  The grid's
+``values`` then become read-only too, so that a later write raises
+ValueError instead of leaving the kept data stale.  Convolution reuses a
+kept spectrum but keeps none, and ``fourier_transform`` always returns a
+new writable array.
 """
 
 from __future__ import annotations
@@ -130,9 +134,9 @@ class GridFunction:
 
     ``values`` has shape (q^{L+m},)*n; complex128 normally, object dtype
     (Fraction entries) on the exact path.  Treated as immutable: the first
-    Sobolev norm, pairing or Riesz pairing of a grid computes its spectrum
-    once and keeps it, and from then on ``values`` (with every array it is
-    a view of) is read-only.
+    Sobolev norm of a grid keeps its shell energies, and its first pairing
+    or Riesz pairing its spectrum, and from then on ``values`` (with every
+    array it is a view of) is read-only.
     """
 
     field: FieldSpec
@@ -515,13 +519,14 @@ def embed(g: GridFunction, L: int, m: int) -> GridFunction:
 # p^c <= _GROUP_CELLS: x.reshape(P, N/P).T @ M transforms the top c digits
 # and rotates them to the bottom, so after all groups every digit is back
 # in place.
-_GROUP_CELLS = 64
+_GROUP_CELLS = 16
 
 
 @lru_cache(maxsize=None)
-def _digit_group_matrix(p: int, c: int) -> np.ndarray:
+def _digit_group_matrix(p: int, c: int, inverse=False) -> np.ndarray:
     """F_p^{tensor c}: entry (a, b) is exp(-2 pi i e / p) with the exact
-    integer e = sum_t a_t b_t mod p over the base-p digits of a and b."""
+    integer e = sum_t a_t b_t mod p over the base-p digits of a and b;
+    with ``inverse`` its conjugate, exp(2 pi i e / p)."""
     idx = np.arange(p ** c, dtype=np.int64)
     e = np.zeros((p ** c,) * 2, dtype=np.int64)
     pk = 1
@@ -531,10 +536,11 @@ def _digit_group_matrix(p: int, c: int) -> np.ndarray:
         pk *= p
     k = np.arange(p)
     half = np.minimum(k, p - k)
-    # conjugate pairs come out exactly conjugate, and p = 2 gives exactly -1
+    # conjugate pairs come out exactly conjugate, and p = 2 gives exactly -1,
+    # so the conjugate is the root of -e, and at p = 2 the same matrix
     roots = np.cos(2 * np.pi * half / p) \
         - 1j * np.sign(p - 2 * k) * np.sin(2 * np.pi * half / p)
-    out = roots[e % p]
+    out = roots[(-e if inverse else e) % p]
     out.setflags(write=False)
     return out
 
@@ -553,7 +559,8 @@ def _digit_reversal(p: int, width: int) -> np.ndarray:
     return out
 
 
-def _laurent_ft(v: np.ndarray, p: int, width: int, scale: float):
+def _laurent_ft(v: np.ndarray, p: int, width: int, scale: float,
+                inverse=False):
     n = v.ndim
     digits = n * width
     if digits == 0:
@@ -565,7 +572,7 @@ def _laurent_ft(v: np.ndarray, p: int, width: int, scale: float):
     done = 0
     while done < digits:
         k = min(c, digits - done)
-        mat = _digit_group_matrix(p, k)
+        mat = _digit_group_matrix(p, k, inverse)
         if done == 0:
             mat = mat * scale
         x = x.reshape(p ** k, -1).T @ mat
@@ -577,10 +584,12 @@ def _laurent_ft(v: np.ndarray, p: int, width: int, scale: float):
     return x
 
 
-def _transform(g: GridFunction, owned=False) -> GridFunction:
-    """Fourier transform of g.  Over Q_p it is written into one array:
-    g.values itself when ``owned`` (the caller's own array, not needed
-    after), else a new one; exact values convert to a new array first."""
+def _transform(g: GridFunction, owned=False, inverse=False) -> GridFunction:
+    """Fourier transform of g, or with ``inverse`` the transform with the
+    conjugate kernel, F^{-1} g(x) = F g(-x).  Over Q_p it is written into
+    one array: g.values itself when ``owned`` (the caller's own array, not
+    needed after), else a new one; exact values convert to a new array
+    first."""
     v = g.values
     if g.is_exact:
         v, owned = v.astype(complex), True
@@ -591,12 +600,15 @@ def _transform(g: GridFunction, owned=False) -> GridFunction:
         if g.n:
             out = v if owned and v.dtype == dtype \
                 else np.empty(v.shape, dtype)
-            np.fft.fftn(v, out=out)
+            if inverse:
+                np.fft.ifftn(v, out=out, norm="forward")  # unscaled
+            else:
+                np.fft.fftn(v, out=out)
         else:
             out = np.array(v, dtype)  # fftn over no axes returns its input
         out *= scale
     else:
-        out = _laurent_ft(v, q, g.L + g.m, scale)
+        out = _laurent_ft(v, q, g.L + g.m, scale, inverse)
     return GridFunction(g.field, g.n, g.m, g.L, out)
 
 
@@ -610,7 +622,8 @@ def fourier_transform(g: GridFunction) -> GridFunction:
 
 
 def inverse_fourier_transform(h: GridFunction) -> GridFunction:
-    return reflect(fourier_transform(h))
+    """F^{-1} h(x) = F h(-x), computed with the conjugate kernel."""
+    return _transform(h, inverse=True)
 
 
 def _freeze(a):
@@ -620,17 +633,22 @@ def _freeze(a):
         a = a.base
 
 
-def _spectrum(g: GridFunction) -> GridFunction:
-    """The Fourier transform of g, computed on the first call and kept on
-    g, read-only.  g.values is frozen with it, so that no write can leave
-    the kept spectrum stale.  Callers only read the result."""
-    gh = getattr(g, "_hat", None)
-    if gh is None:
-        gh = fourier_transform(g)
-        _freeze(gh.values)
+def _kept(g: GridFunction, name: str, compute):
+    """compute(g), computed on the first call and kept on g as ``name``,
+    read-only.  g.values is frozen with it, so that no write can leave
+    the kept result stale.  Callers only read the result."""
+    kept = getattr(g, name, None)
+    if kept is None:
+        kept = compute(g)
+        _freeze(getattr(kept, "values", kept))
         _freeze(g.values)
-        object.__setattr__(g, "_hat", gh)  # not a field: == and repr stay
-    return gh
+        object.__setattr__(g, name, kept)  # not a field: == and repr stay
+    return kept
+
+
+def _spectrum(g: GridFunction) -> GridFunction:
+    """The Fourier transform of g, kept on g (see ``_kept``)."""
+    return _kept(g, "_hat", fourier_transform)
 
 
 def reflect(g: GridFunction) -> GridFunction:
@@ -656,7 +674,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     ours = [h.values for h, k in zip((fh, gh), kept) if h is not k]
     own = ours and a.size > 1 and a.dtype == b.dtype
     prod = np.multiply(a, b, out=ours[0] if own else None)
-    return reflect(_transform(fh._with(prod), owned=True))
+    return _transform(fh._with(prod), owned=True, inverse=True)
 
 
 # -- norms, metric ------------------------------------------------------------
@@ -685,41 +703,65 @@ def _bracket_weight(g: GridFunction, l) -> np.ndarray:
     return w
 
 
+def _shell_energies(g: GridFunction) -> np.ndarray:
+    """S_k, k = 0..m: the energy of the spectrum of g on the shell
+    ||xi|| = q^k (on ||xi|| <= 1 for k = 0), where [xi]^l is q^{kl}.
+
+    By Parseval on each ball, S_k = ||E_k g - E_{k-1} g||^2 for k >= 1 and
+    S_0 = ||E_0 g||^2, with E_k g the average of g over the cosets of
+    B_{-k}^n; no transform is needed.  On every axis the coset of an index
+    is its class mod q^{L+k}, so the sums of level k - 1 come from those
+    of level k by summing out the top base-q digit of every axis index.
+    Each S_k comes from the difference array, never as a difference of
+    squared norms, so an empty shell reads zero, not rounding noise.
+    """
+    q, n, L, m = g.field.q, g.n, g.L, g.m
+    sums = [g.as_complex()]
+    for k in range(m, 0, -1):
+        top = sums[-1].reshape((q, q ** (L + k - 1)) * n)
+        sums.append(top.sum(axis=tuple(range(0, 2 * n, 2)), keepdims=True))
+    sums.reverse()
+    # E_k g is sums[k] / q^{(m-k)n} on cells of measure q^{-kn}
+    out = np.empty(m + 1)
+    a = np.abs(sums[0])
+    a **= 2
+    out[0] = float(np.sum(a)) * float(Fraction(q) ** (-2 * m * n))
+    for k in range(1, m + 1):
+        d = sums[k].reshape((q, q ** (L + k - 1)) * n) - sums[k - 1] / q ** n
+        out[k] = np.vdot(d, d).real * float(Fraction(q) ** ((k - 2 * m) * n))
+    return out
+
+
 def sobolev_norm(g, l: int) -> float:
-    """||g||_l; grid functions transform first, spectral functions are
-    already frequency-side."""
+    """||g||_l; grid functions from their shell energies, spectral
+    functions frequency-side."""
     value, _ = sobolev_norm_with_tail(g, l)
     return value
 
 
 def sobolev_norm_with_tail(g, l: int):
-    """(||g||_l, certified tail bound on the squared norm)."""
+    """(||g||_l, certified tail bound on the squared norm).  A grid keeps
+    its shell energies on the first call, read-only, which freezes its
+    values."""
     if isinstance(g, SpectralFunction):
         sq, tail = g.norm_sq(l)
         return math.sqrt(max(sq, 0.0)), tail
-    gh = _spectrum(g)
-    a = np.abs(gh.values)
-    a **= 2
-    a *= _bracket_weight(gh, l)
-    sq = float(np.sum(a)) * float(gh.coset_measure())
-    return math.sqrt(sq), 0.0
+    S = _kept(g, "_shells", _shell_energies)
+    w = float(g.field.q) ** (np.arange(S.size) * l)
+    return math.sqrt(float(np.sum(w * S))), 0.0
 
 
 def hinf_metric(f: GridFunction, g: GridFunction, l_max=None) -> float:
-    """max_l 2^{-l} ||f-g||_l / (1 + ||f-g||_l).
+    """max_l 2^{-l} ||f-g||_l / (1 + ||f-g||_l), from the shell energies
+    of f - g.
 
     With no l_max the cutoff is self-certifying: once 2^{-(l+1)} cannot
     beat the running max no larger l can either, because x/(1+x) < 1.
     """
-    d = f - g
-    # f - g is a new array, so the transform may overwrite it
-    dh = _transform(d, owned=True)
-    if not np.any(dh.values):
+    cur = _shell_energies(f - g)
+    if not cur.any():
         return 0.0
-    w1 = _bracket_weight(dh, 1)
-    cur = np.abs(dh.values)
-    cur **= 2
-    cur *= float(dh.coset_measure())
+    w1 = float(f.field.q) ** np.arange(cur.size)
     best = 0.0
     l = 0
     while True:

@@ -491,12 +491,11 @@ def char_fraction_of_rational(p: int, r) -> Fraction:
     return Fraction(num % pk, pk)
 
 
-def ball_measure(field: FieldSpec, radius_exp: int, n: int,
-                 center=None) -> Fraction:
-    """Haar measure of an n-dimensional ball of radius q^radius_exp.
+def ball_measure(field: FieldSpec, radius_exp: int, n: int) -> Fraction:
+    """Haar measure of an n-dimensional ball of radius q^radius_exp,
+    wherever it is centred (the measure is translation invariant).
 
-    Normalized so the unit polydisc has measure 1; the center is
-    irrelevant by translation invariance.
+    Normalized so the unit polydisc has measure 1.
     """
     return Fraction(field.q) ** (radius_exp * n)
 

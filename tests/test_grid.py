@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ultrazeta.errors import BudgetExceeded, DivergentIntegral, Inexact
 from ultrazeta.grid import (MAX_GRID_CELLS, GridFunction, Multiplier,
@@ -65,8 +65,8 @@ def test_ft_matches_reference(field, n):
     assert np.max(np.abs(fast.values - slow.values)) < 1e-12
 
 
-# digit counts n(L+m) off the GEMM group size (6 digits at p=2, 3 at p=3,
-# 2 at p=5 and p=7), and the one-cell grids L = m = 0
+# digit counts n(L+m) off the GEMM group size (4 digits at p=2, 2 at p=3,
+# 1 at p=5 and p=7), and the one-cell grids L = m = 0
 @pytest.mark.parametrize("field, n, L, m", [
     (LaurentFp(2), 1, 3, 4), (LaurentFp(2), 3, 1, 1), (LaurentFp(3), 1, 2, 2),
     (LaurentFp(5), 1, 2, 1), (LaurentFp(5), 3, 1, 0), (LaurentFp(7), 1, 1, 1),
@@ -736,6 +736,105 @@ def test_reflect_shares_no_memory(field, n):
     assert r.values.flags.writeable
     sobolev_norm(g, 0)
     assert reflect(g).values.flags.writeable
+
+
+# -- shell energies and the conjugate-kernel inverse ---------------------------
+
+def _spectral_sobolev_sq(g, l):
+    """||g||_l^2 as a per-cell weighted sum over the spectrum: the sum of
+    [xi]^l |F g(xi)|^2 times the spectral cell measure."""
+    gh = fourier_transform(g)
+    q = float(gh.field.q)
+    f = _axis_norm_exps(gh.field.kind, gh.field.q, gh.L, gh.m).astype(float)
+    axis = np.maximum(np.where(f < -10 ** 8, 0.0, q ** f), 1.0)
+    w = np.ones(gh.values.shape)
+    for ax in range(gh.n):
+        w = np.maximum(w, axis.reshape((-1,) + (1,) * (gh.n - 1 - ax)))
+    a = np.abs(gh.values) ** 2 * w ** l
+    return float(np.sum(a)) * float(gh.coset_measure())
+
+
+def _spectral_metric(f, g, l_max=None):
+    d = f - g
+    if not np.any(d.values):
+        return 0.0
+    best, l = 0.0, 0
+    while True:
+        nl = math.sqrt(_spectral_sobolev_sq(d, l))
+        best = max(best, 2.0 ** (-l) * nl / (1.0 + nl))
+        l += 1
+        if l_max is not None and l > l_max:
+            return best
+        if l_max is None and 2.0 ** (-l) <= best:
+            return best
+
+
+@st.composite
+def _shell_grids(draw):
+    """Two grids on one field kind, n <= 3, m >= 0 and at most 4096 cells:
+    random, exact, or the indicator of a ball (whose shells past the
+    ball's dual radius are empty), and a random grid to measure against.
+    q^{8m} stays below 10^12, so that the rounding noise of the spectral
+    reference on the empty shells stays below 1e-14 of the norm at l = 8."""
+    kind = draw(st.sampled_from(["Qp", "LaurentFp"]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(0, max(i for i in range(5) if p ** (8 * i) < 1e12)))
+    L = draw(st.integers(0, 3))
+    assume(p ** ((L + m) * n) <= 4096)
+    field = Qp(p) if kind == "Qp" else LaurentFp(p)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    form = draw(st.sampled_from(["random", "exact", "ball"]))
+    if form == "exact":
+        g = _exact_grid(field, n, L, m, rng)
+    elif form == "ball":
+        g = GridFunction.indicator_ball(field, n, draw(st.integers(-m, L)),
+                                        L=L, m=m)
+    else:
+        g = random_grid(field, n, L, m, rng)
+    return g, random_grid(field, n, L, m, rng)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_shell_grids())
+def test_shell_energies_match_the_weighted_spectrum(pair):
+    g, h = pair
+    for l in range(-3, 9):
+        want = math.sqrt(_spectral_sobolev_sq(g, l))
+        assert sobolev_norm(g, l) == pytest.approx(want, rel=1e-14, abs=0)
+        assert sobolev_norm(_copy(g), l) == sobolev_norm(g, l)
+    for a, b in ((g, h), (h, g), (g, g)):
+        for l_max in (None, 0, 3, 9):
+            assert hinf_metric(a, b, l_max) == pytest.approx(
+                _spectral_metric(a, b, l_max), rel=1e-14, abs=0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_grid_pairs())
+def test_inverse_transform_is_the_reflected_transform(pair):
+    g, _ = pair
+    inv = inverse_fourier_transform(g)
+    want = reflect(fourier_transform(g))
+    assert (inv.L, inv.m) == (want.L, want.m) == (g.m, g.L)
+    assert np.max(np.abs(inv.values - want.values)) \
+        <= 1e-15 * np.max(np.abs(want.values))
+    if g.field == LaurentFp(2):
+        # negation is the identity, so the conjugate kernel is the kernel
+        assert inv.values.tobytes() == fourier_transform(g).values.tobytes()
+
+
+# digit counts that leave a remainder group at p = 2 and p = 3 (groups of
+# 4 and 2 digits), forward and inverse
+@pytest.mark.parametrize("field, n, L, m", [
+    (LaurentFp(2), 1, 2, 3), (LaurentFp(3), 1, 2, 1), (LaurentFp(3), 3, 1, 0),
+    (LaurentFp(3), 1, 3, 2)])
+def test_transforms_match_reference_with_remainder_groups(field, n, L, m):
+    rng = np.random.default_rng(field.p * 1000 + n * 10 + L + m)
+    g = random_grid(field, n, L, m, rng)
+    slow = reference_ft(g)
+    assert np.max(np.abs(fourier_transform(g).values - slow.values)) < 1e-12
+    assert np.max(np.abs(inverse_fourier_transform(g).values
+                         - reflect(slow).values)) < 1e-12
 
 
 # -- integer cell orders of the symbol refinement ------------------------------
