@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ultrazeta.errors import BudgetExceeded, DivergentIntegral, Inexact
+from ultrazeta.errors import BudgetExceeded, DivergentIntegral, Inexact, \
+    UnsupportedPolynomial
 from ultrazeta.grid import (MAX_GRID_CELLS, GridFunction, Multiplier,
                             SpectralFunction, convolve, dirac, dual_norm,
                             embed, fourier_transform, hinf_metric, l2_norm,
@@ -910,3 +911,25 @@ def test_symbol_refinement_scales_with_support(p, text, k):
             b, tb = _poly_weighted_integral(fine, [(h, beta)])
             scale = float(p) ** (2 + k * beta)
             assert abs(a - scale * b) <= 1e-10 * abs(a) + ta + scale * tb
+
+
+# -- what F_p((T)) grids refuse -------------------------------------------------
+
+def test_general_symbol_on_laurent_grid_is_refused():
+    base = GridFunction.indicator_ball(LaurentFp(3), 2, 0, L=1, m=1)
+    h = IntPolynomial.make(2, {(2, 0): 1, (0, 2): 1})  # x1^2 + x2^2
+    T = SpectralFunction(base, (Multiplier(h, 1.5),))
+    with pytest.raises(UnsupportedPolynomial):
+        T.norm_sq(0)
+    with pytest.raises(UnsupportedPolynomial):
+        dual_norm(T, 1)
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 3), 2])
+def test_evaluate_refuses_rationals_on_laurent_grid(c):
+    field = LaurentFp(3)
+    g = GridFunction.indicator_ball(field, 2, 0, L=1, m=1)
+    with pytest.raises(TypeError):
+        g.evaluate([c, LocalFieldElement.zero(field)])
+    with pytest.raises(TypeError):
+        g.evaluate([LocalFieldElement.zero(field), c])

@@ -350,3 +350,106 @@ def test_qp_char_fraction_matches_digit_sum(elems):
         want = sum(Fraction(x.digit_at(j), p ** (-j))
                    for j in range(min(x.valuation, 0), 0)) % 1
         assert char_fraction(x) == want
+
+
+# -- F_p((T)) arithmetic against the coefficient-level definition --------------
+
+def _kronecker(digits, base):
+    """sum d_i base^i: with base past every coefficient of a product, the
+    integer product carries the polynomial product digit by digit."""
+    return sum(d * base ** i for i, d in enumerate(digits))
+
+
+def _poly_mul_mod(a, b, p, prec):
+    """Coefficients 0..prec-1 of the product of two F_p[T] digit lists,
+    through one integer product (Kronecker substitution)."""
+    base = prec * p * p + 1
+    c = _kronecker(a[:prec], base) * _kronecker(b[:prec], base)
+    out = []
+    for _ in range(prec):
+        out.append(c % base % p)
+        c //= base
+    return out
+
+
+def _ref_fpt_neg(a):
+    if a.is_zero:
+        return a
+    return LocalFieldElement(a.field, a.valuation,
+                             tuple(-d % a.field.p for d in a.digits))
+
+
+def _ref_fpt_add(a, b):
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    v = min(a.valuation, b.valuation)
+    known = min(a.known_to, b.known_to)
+    if known <= v:
+        return "inexact"
+    coeffs = [(a.digit_at(e) + b.digit_at(e)) % a.field.p
+              for e in range(v, known)]
+    if not any(coeffs):
+        return "inexact"
+    return LocalFieldElement.from_digits(a.field, v, coeffs)
+
+
+def _ref_fpt_mul(a, b):
+    if a.is_zero or b.is_zero:
+        return LocalFieldElement.zero(a.field)
+    prec = min(a.precision, b.precision)
+    return LocalFieldElement(a.field, a.valuation + b.valuation, tuple(
+        _poly_mul_mod(a.digits, b.digits, a.field.p, prec)))
+
+
+def _ref_fpt_div(a, b):
+    """a times the inverse series of b: inv_0 = 1/b_0 and
+    sum_{j <= k} b_j inv_{k-j} = 0 for k >= 1."""
+    if b.is_zero:
+        return "zerodiv"
+    if a.is_zero:
+        return a
+    p = a.field.p
+    prec = min(a.precision, b.precision)
+    b0 = pow(b.digits[0], -1, p)
+    inv = [b0]
+    for k in range(1, prec):
+        s = sum(b.digits[j] * inv[k - j] for j in range(1, k + 1))
+        inv.append(-s * b0 % p)
+    return LocalFieldElement(a.field, a.valuation - b.valuation, tuple(
+        _poly_mul_mod(list(a.digits), inv, p, prec)))
+
+
+def _fpt_outcome(op, a, b):
+    try:
+        return op(a, b)
+    except Inexact:
+        return "inexact"
+    except ZeroDivisionError:
+        return "zerodiv"
+
+
+@st.composite
+def _fpt_triples(draw):
+    field = LaurentFp(draw(st.sampled_from([2, 3, 5, 7])))
+    return tuple(draw(_qp_elements(field)) for _ in range(3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_fpt_triples())
+def test_laurent_arithmetic_matches_digit_reference(elems):
+    a, b, c = elems
+    derived = [x for x in (_fpt_outcome(LocalFieldElement.__mul__, a, c),
+                           _fpt_outcome(LocalFieldElement.__add__, b, c),
+                           _fpt_outcome(LocalFieldElement.__truediv__, a, b),
+                           -a) if x not in ("inexact", "zerodiv")]
+    for x in [a, b, c] + derived:
+        assert -x == _ref_fpt_neg(x)
+        for y in [a, b, c] + derived:
+            for op, ref in ((LocalFieldElement.__mul__, _ref_fpt_mul),
+                            (LocalFieldElement.__add__, _ref_fpt_add),
+                            (LocalFieldElement.__sub__,
+                             lambda u, w: _ref_fpt_add(u, _ref_fpt_neg(w))),
+                            (LocalFieldElement.__truediv__, _ref_fpt_div)):
+                assert _fpt_outcome(op, x, y) == ref(x, y)
