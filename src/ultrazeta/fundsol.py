@@ -15,7 +15,7 @@ from .errors import UnsupportedPolynomial
 from .grid import GridFunction, Multiplier, SpectralFunction, \
     fourier_transform, pairing, random_grid
 from .intpoly import IntPolynomial
-from .localfield import FieldSpec, LocalFieldElement
+from .localfield import FieldSpec, LocalFieldElement, digits_of
 from .ratfunc import LambdaPoly, RationalFunctionT, laurent_at
 from .zeta import cells_to_rational
 
@@ -27,8 +27,7 @@ def _monomial_exponents(f: IntPolynomial):
             "fundamental-solution machinery handles monomials; general "
             "polynomials reduce to this case only through a resolution "
             "of singularities, which is out of scope")
-    c, exps = prof
-    return c, exps
+    return prof
 
 
 def zeta_exact_in_t(g: GridFunction, f: IntPolynomial,
@@ -42,30 +41,17 @@ def zeta_exact_in_t(g: GridFunction, f: IntPolynomial,
     """
     c, exps = _monomial_exponents(f)
     gh = g if side == "frequency" else fourier_transform(g)
-    if any(e > 0 and _coeff_ord_q(gh.field, c) is None for e in exps):
+    vc = gh.field.ops.int_ord(c)
+    if vc is None and any(e > 0 for e in exps):
         raise UnsupportedPolynomial("monomial coefficient vanishes")
     specs = [(e, 1) if e > 0 else None for e in exps]
     R = cells_to_rational(gh, specs)
-    vc = _coeff_ord_q(gh.field, c)
     if vc:
         # |c prod xi^N|^s = q^{-vc s} |prod xi^N|^s shifts by t^{vc}
         shift = RationalFunctionT.from_coeffs(
             [Fraction(0)] * vc + [Fraction(1)], [Fraction(1)], gh.field.q)
         R = R * shift
     return R
-
-
-def _coeff_ord_q(fieldspec: FieldSpec, c: int):
-    p = fieldspec.q
-    if fieldspec.kind == "LaurentFp":
-        return 0 if c % p else None
-    if c == 0:
-        return None
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
 
 
 @dataclass
@@ -150,8 +136,7 @@ def delta_identity_check(f: IntPolynomial, field: FieldSpec, trials: int,
     for k in range(trials):
         g = random_grid(field, n, L, m, rng)
         lhs = t0_applied_to_operator_image(g, f)
-        rhs = complex(g.evaluate([Fraction(0)] * n)) \
-            if field.kind == "Qp" else complex(g.values[(0,) * n])
+        rhs = complex(g.values[(0,) * n])  # the cell of x = 0
         err = abs(lhs - rhs)
         rep.max_error = max(rep.max_error, err)
         if err > tol:
@@ -172,16 +157,14 @@ def division_check(f: IntPolynomial, field: FieldSpec, L: int = 2,
     and the product c x_1^{N_1} ... over the leading axes is shared by
     every cell below it, multiplied in the same order as for one cell.
     """
-    from .grid import _axis_norm_exps
-
     c, exps = _monomial_exponents(f)
-    vc = _coeff_ord_q(field, c)
+    vc = field.ops.int_ord(c)
     if vc is None:
         raise UnsupportedPolynomial("monomial coefficient vanishes")
     q = field.q
     n = f.n
     Q = q ** (L + m)
-    fexp = _axis_norm_exps(field.kind, q, L, m).tolist()
+    fexp = field.ops.norm_exps(L, m).tolist()
     elems = [_element_from_rep(field, None, L, m, i) for i in range(Q)]
     rep = CheckReport("division", 0, 0.0)
 
@@ -205,17 +188,12 @@ def division_check(f: IntPolynomial, field: FieldSpec, L: int = 2,
 
 
 def _element_from_rep(field, const, L, m, index):
-    from .grid import _axis_digits
-
+    """The constant ``const``, or the representative of axis index
+    ``index``, as a field element."""
     if index is None:
-        if field.kind == "Qp":
-            return LocalFieldElement.from_int(field, const)
         return LocalFieldElement.from_rational(field, const)
-    digits = _axis_digits(int(index), field.q, L + m)
-    if field.kind == "Qp":
-        return LocalFieldElement.from_digits(field, -L, digits)
-    return LocalFieldElement.from_laurent_coeffs(
-        field, {e - L: d for e, d in enumerate(digits)})
+    return LocalFieldElement.from_digits(
+        field, -L, digits_of(int(index), field.q, L + m))
 
 
 def convolution_check(f: IntPolynomial, field: FieldSpec, trials: int,
@@ -257,6 +235,9 @@ def fundamental_solution_check(f: IntPolynomial, field: FieldSpec,
                                trials: int = 10, seed: int = 0,
                                tol: float = 1e-8) -> dict:
     """Run the delta-identity, division, and convolution checks."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}: a check "
+                         f"that never ran cannot pass")
     rng = np.random.default_rng(seed)
     reports = [
         delta_identity_check(f, field, trials, rng, tol=tol),

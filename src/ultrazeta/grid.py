@@ -13,7 +13,10 @@ digits of the grid at once as one matrix product per group of c digits
 built from exact integer exponents) and one digit-reversal gather per axis.
 The inverse transform uses the conjugate kernel, not a transform and a
 reflection.  Either way the involution F(F g)(x) = g(-x) and Parseval hold
-at double precision, with every character exponent exact.
+at double precision, with every character exponent exact.  Both kernels,
+the axis tables and the characters belong to the field layer
+(``FieldSpec.ops`` in ``localfield``); this module tells no field from
+the other.
 
 Sobolev norms and the metric need no transform: [xi]^l is q^{kl} on the
 shell ||xi|| = q^k, whose spectral energy is read on the x side by block
@@ -40,12 +43,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import BudgetExceeded, DivergentIntegral, Inexact, \
-    UnsupportedPolynomial
+from .errors import BudgetExceeded, DivergentIntegral, UnsupportedPolynomial
 from .intpoly import IntPolynomial
-from .localfield import FieldSpec, LocalFieldElement
-
-_ZERO_SENTINEL = -(10 ** 9)
+from .localfield import ZERO_SENTINEL, FieldSpec
 
 # Most cells GridFunction.zeros and embed allocate: 2 GiB of complex128.
 MAX_GRID_CELLS = 2 ** 27
@@ -62,52 +62,7 @@ def _check_grid_cells(q: int, n: int, width: int):
                              f"budget of {MAX_GRID_CELLS} cells")
 
 
-# -- per-axis index tables ----------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _axis_norm_exps(kind: str, p: int, L: int, m: int):
-    """norm exponent f with |rep_i| = q^f per index; sentinel at the
-    zero representative."""
-    Q = p ** (L + m)
-    idx = np.arange(Q, dtype=np.int64)
-    out = np.full(Q, L, dtype=np.int64)
-    pk = p
-    for _ in range(1, L + m):
-        out -= idx % pk == 0
-        pk *= p
-    out[0] = _ZERO_SENTINEL
-    return out
-
-
-@lru_cache(maxsize=None)
-def _axis_negation(kind: str, p: int, L: int, m: int):
-    Q = p ** (L + m)
-    if kind == "Qp":
-        return (-np.arange(Q, dtype=np.int64)) % Q
-    # digitwise negation: -d_t mod p at every place p^t
-    idx = np.arange(Q, dtype=np.int64)
-    out = np.zeros(Q, dtype=np.int64)
-    pk = 1
-    for _ in range(L + m):
-        out += (-(idx // pk) % p) * pk
-        pk *= p
-    return out
-
-
-def _axis_digits(i: int, p: int, width: int):
-    out = []
-    for _ in range(width):
-        out.append(i % p)
-        i //= p
-    return out
-
-
-def _axis_index(digits, p: int) -> int:
-    acc = 0
-    for d in reversed(list(digits)):
-        acc = acc * p + d
-    return acc
-
+# -- axis digits of grid JSON -------------------------------------------------
 
 def _index_digits(idx: np.ndarray, q: int, width: int) -> np.ndarray:
     """out[..., t]: digit t (least significant first) of every axis index."""
@@ -174,25 +129,15 @@ class GridFunction:
         if m is None:
             m = max(-radius_exp, 0)
         if center is not None:
-            cidx = [_coord_index(field, c, L, m) for c in center]
+            cidx = [field.ops.coord_index(c, L, m) for c in center]
             if any(i is None for i in cidx):
                 raise ValueError("center lies outside the representable grid")
         g = GridFunction.zeros(field, n, L, m, exact=exact)
-        one = Fraction(1) if exact else 1.0 + 0.0j
-        q = field.q
-        norm_exps = _axis_norm_exps(field.kind, q, L, m)
-        in_ball = [i for i in range(q ** (L + m))
-                   if norm_exps[i] <= radius_exp]
-        v = g.values
-        if center is None:
-            for idx in np.ndindex(*(len(in_ball),) * n):
-                v[tuple(in_ball[k] for k in idx)] = one
-        else:
-            for idx in np.ndindex(*(len(in_ball),) * n):
-                # center + ball member, computed through index arithmetic
-                pt = tuple(_axis_add(field, cidx[ax], in_ball[k], L, m)
-                           for ax, k in enumerate(idx))
-                v[pt] = one
+        in_ball = np.flatnonzero(field.ops.norm_exps(L, m) <= radius_exp)
+        # center + ball member, computed through index arithmetic
+        axes = [in_ball] * n if center is None else \
+            [field.ops.axis_add(cidx[ax], in_ball, L, m) for ax in range(n)]
+        g.values[np.ix_(*axes)] = Fraction(1) if exact else 1.0 + 0.0j
         return g
 
     @property
@@ -204,12 +149,8 @@ class GridFunction:
         return self.values.dtype == object
 
     def as_complex(self) -> np.ndarray:
-        if self.values.dtype == complex:
-            return self.values
-        out = np.empty(self.values.shape, dtype=complex)
-        for idx in np.ndindex(*self.values.shape):
-            out[idx] = complex(self.values[idx])
-        return out
+        """The values as complex128: ``values`` itself when they are."""
+        return self.values.astype(complex, copy=False)
 
     def coset_measure(self) -> Fraction:
         return Fraction(self.field.q) ** (-self.m * self.n)
@@ -251,7 +192,7 @@ class GridFunction:
         """Value at a point given as LocalFieldElements or Fractions."""
         idx = []
         for c in point:
-            i = _coord_index(self.field, c, self.L, self.m)
+            i = self.field.ops.coord_index(c, self.L, self.m)
             if i is None:
                 return 0.0 if not self.is_exact else Fraction(0)
             idx.append(i)
@@ -422,58 +363,6 @@ def _entry_values(values, cosets) -> np.ndarray:
     return out
 
 
-def _axis_add(field, i, j, L, m):
-    """Index of rep_i + rep_j on the same axis grid."""
-    q = field.q
-    Q = q ** (L + m)
-    if field.kind == "Qp":
-        return (i + j) % Q
-    di = _axis_digits(i, q, L + m)
-    dj = _axis_digits(j, q, L + m)
-    return _axis_index([(a + b) % q for a, b in zip(di, dj)], q)
-
-
-def _qp_digit_stream(r: Fraction, p: int, lo: int, hi: int):
-    """p-adic digits of an exact rational at exponents lo..hi-1.
-
-    None when the denominator carries more p-power than pi^lo allows.
-    """
-    den = r.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
-    if k > -lo:
-        return None
-    x = r * Fraction(p) ** (-lo)  # now a p-integer
-    digits = []
-    for _ in range(hi - lo):
-        d = int((x.numerator * pow(x.denominator, -1, p)) % p)
-        digits.append(d)
-        x = (x - d) / p
-    return digits
-
-
-def _coord_index(field, c, L, m):
-    """Axis index of the coset containing c; None if outside B_L."""
-    p = field.q
-    if isinstance(c, LocalFieldElement):
-        if c.is_zero:
-            return 0
-        if c.valuation < -L:
-            return None
-        if c.known_to < m:
-            raise Inexact("coordinate not resolved to the grid resolution")
-        digits = [c.digit_at(e) for e in range(-L, m)]
-        return _axis_index(digits, p)
-    if field.kind != "Qp":
-        raise TypeError("plain rationals only index Q_p grids")
-    digits = _qp_digit_stream(Fraction(c), p, -L, m)
-    if digits is None:
-        return None
-    return _axis_index(digits, p)
-
-
 def unify_pair(a: GridFunction, b: GridFunction):
     if a.field != b.field or a.n != b.n:
         raise ValueError("incompatible grids")
@@ -512,78 +401,6 @@ def embed(g: GridFunction, L: int, m: int) -> GridFunction:
 
 # -- Fourier transform --------------------------------------------------------
 
-# F_p((T)): the pairing of x and xi on one axis is the digit sum
-# sum_t x_t xi_{w-1-t} mod p, so the transform of a grid with D = n(L+m)
-# digits is F_p^{tensor D} on the flat index followed by a digit reversal on
-# every axis.  F_p^{tensor D} runs as one GEMM per group of c digits, where
-# p^c <= _GROUP_CELLS: x.reshape(P, N/P).T @ M transforms the top c digits
-# and rotates them to the bottom, so after all groups every digit is back
-# in place.
-_GROUP_CELLS = 16
-
-
-@lru_cache(maxsize=None)
-def _digit_group_matrix(p: int, c: int, inverse=False) -> np.ndarray:
-    """F_p^{tensor c}: entry (a, b) is exp(-2 pi i e / p) with the exact
-    integer e = sum_t a_t b_t mod p over the base-p digits of a and b;
-    with ``inverse`` its conjugate, exp(2 pi i e / p)."""
-    idx = np.arange(p ** c, dtype=np.int64)
-    e = np.zeros((p ** c,) * 2, dtype=np.int64)
-    pk = 1
-    for _ in range(c):
-        d = (idx // pk) % p
-        e += np.multiply.outer(d, d)
-        pk *= p
-    k = np.arange(p)
-    half = np.minimum(k, p - k)
-    # conjugate pairs come out exactly conjugate, and p = 2 gives exactly -1,
-    # so the conjugate is the root of -e, and at p = 2 the same matrix
-    roots = np.cos(2 * np.pi * half / p) \
-        - 1j * np.sign(p - 2 * k) * np.sin(2 * np.pi * half / p)
-    out = roots[(-e if inverse else e) % p]
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _digit_reversal(p: int, width: int) -> np.ndarray:
-    """Index whose base-p digits are those of i in reverse order."""
-    idx = np.arange(p ** width, dtype=np.int64)
-    out = np.zeros(p ** width, dtype=np.int64)
-    lo, hi = 1, p ** max(width - 1, 0)
-    for _ in range(width):
-        out += (idx // lo) % p * hi
-        lo *= p
-        hi //= p
-    out.setflags(write=False)
-    return out
-
-
-def _laurent_ft(v: np.ndarray, p: int, width: int, scale: float,
-                inverse=False):
-    n = v.ndim
-    digits = n * width
-    if digits == 0:
-        return np.asarray(v * scale)  # an array even when n = 0
-    c = 1
-    while p ** (c + 1) <= _GROUP_CELLS:
-        c += 1
-    x = v
-    done = 0
-    while done < digits:
-        k = min(c, digits - done)
-        mat = _digit_group_matrix(p, k, inverse)
-        if done == 0:
-            mat = mat * scale
-        x = x.reshape(p ** k, -1).T @ mat
-        done += k
-    x = x.reshape(v.shape)
-    rev = _digit_reversal(p, width)
-    for ax in range(n):
-        x = np.take(x, rev, axis=ax)
-    return x
-
-
 def _transform(g: GridFunction, owned=False, inverse=False) -> GridFunction:
     """Fourier transform of g, or with ``inverse`` the transform with the
     conjugate kernel, F^{-1} g(x) = F g(-x).  Over Q_p it is written into
@@ -593,22 +410,8 @@ def _transform(g: GridFunction, owned=False, inverse=False) -> GridFunction:
     v = g.values
     if g.is_exact:
         v, owned = v.astype(complex), True
-    q = g.field.q
-    scale = float(Fraction(q) ** (-g.m * g.n))
-    if g.field.kind == "Qp":
-        dtype = np.result_type(v.dtype, np.complex64)  # that of np.fft.fftn
-        if g.n:
-            out = v if owned and v.dtype == dtype \
-                else np.empty(v.shape, dtype)
-            if inverse:
-                np.fft.ifftn(v, out=out, norm="forward")  # unscaled
-            else:
-                np.fft.fftn(v, out=out)
-        else:
-            out = np.array(v, dtype)  # fftn over no axes returns its input
-        out *= scale
-    else:
-        out = _laurent_ft(v, q, g.L + g.m, scale, inverse)
+    scale = float(Fraction(g.field.q) ** (-g.m * g.n))
+    out = g.field.ops.transform(v, g.L + g.m, scale, owned, inverse)
     return GridFunction(g.field, g.n, g.m, g.L, out)
 
 
@@ -653,7 +456,7 @@ def _spectrum(g: GridFunction) -> GridFunction:
 
 def reflect(g: GridFunction) -> GridFunction:
     """g(-x) on the same grid, in a new array."""
-    perm = _axis_negation(g.field.kind, g.field.q, g.L, g.m)
+    perm = g.field.ops.negation(g.L, g.m)
     v = g.values if g.n else g.values.copy()
     for ax in range(g.n):
         v = np.take(v, perm, axis=ax)
@@ -693,8 +496,8 @@ def sup_norm(g: GridFunction) -> float:
 def _bracket_weight(g: GridFunction, l) -> np.ndarray:
     """[xi]^l = max(1, ||xi||)^l as an array over the grid of g."""
     q = float(g.field.q)
-    f = _axis_norm_exps(g.field.kind, g.field.q, g.L, g.m).astype(float)
-    axis = np.maximum(np.where(f <= _ZERO_SENTINEL / 2, 0.0, q ** f), 1.0)
+    f = g.field.ops.norm_exps(g.L, g.m).astype(float)
+    axis = np.maximum(np.where(f <= ZERO_SENTINEL / 2, 0.0, q ** f), 1.0)
     w = np.empty(g.values.shape)
     w[...] = axis.reshape((-1,) + (1,) * (g.n - 1)) if g.n else 1.0
     for ax in range(1, g.n):
@@ -820,15 +623,15 @@ def _zero_cell_power(q: int, w, m: int, as_series=False, terms=40):
 
 def _axis_power_weights(g: GridFunction, w, zero_mode="closed"):
     """Per-index weight: coset measure times |rep|^w, with the zero cell
-    integrated analytically."""
+    integrated analytically (or left out, with ``zero_mode="skip"``)."""
     q = g.field.q
-    f = _axis_norm_exps(g.field.kind, q, g.L, g.m)
+    f = g.field.ops.norm_exps(g.L, g.m)
     lnq = math.log(q)
     wc = complex(w)
     out = np.empty(g.Q, dtype=complex)
     out[1:] = np.exp((f[1:] * wc) * lnq) * (q ** float(-g.m))
-    out[0] = complex(_zero_cell_power(q, w, g.m,
-                                      as_series=(zero_mode == "series")))
+    out[0] = 0.0 if zero_mode == "skip" else complex(_zero_cell_power(
+        q, w, g.m, as_series=(zero_mode == "series")))
     return out
 
 
@@ -851,22 +654,10 @@ def power_integral(g: GridFunction, exponents, zero_mode="closed"):
         return _power_integral_exact(g, w)
     v = g.values.astype(complex) if g.is_exact else g.values
     for ax in range(g.n):
-        we = w[ax]
-        if complex(we).real <= -1:
-            wt = _axis_power_weights_skip_zero(g, we)
-        else:
-            wt = _axis_power_weights(g, we, zero_mode)
+        skip = complex(w[ax]).real <= -1  # g vanishes on that zero cell
+        wt = _axis_power_weights(g, w[ax], "skip" if skip else zero_mode)
         v = np.tensordot(v, wt, axes=([0], [0]))
     return complex(v)
-
-
-def _axis_power_weights_skip_zero(g, w):
-    q, lnq = g.field.q, math.log(g.field.q)
-    f = _axis_norm_exps(g.field.kind, q, g.L, g.m)
-    out = np.empty(g.Q, dtype=complex)
-    out[1:] = np.exp((f[1:] * complex(w)) * lnq) * (q ** float(-g.m))
-    out[0] = 0.0
-    return out
 
 
 def _touches_hyperplane(v: np.ndarray, ax: int) -> bool:
@@ -877,7 +668,7 @@ def _touches_hyperplane(v: np.ndarray, ax: int) -> bool:
 
 def _power_integral_exact(g: GridFunction, w):
     q = g.field.q
-    f = _axis_norm_exps(g.field.kind, q, g.L, g.m)
+    f = g.field.ops.norm_exps(g.L, g.m)
     total = Fraction(0)
     meas = Fraction(q) ** (-g.m)
     for idx in zip(*np.nonzero(g.values)):
@@ -903,12 +694,8 @@ class Multiplier:
     alpha: complex
 
     def coordinate_profile(self):
-        """(|const|, exponent vector) when h is a single monomial."""
-        prof = self.poly.monomial_profile()
-        if prof is None:
-            return None
-        c, exps = prof
-        return c, exps
+        """(const, exponent vector) when h is a single monomial."""
+        return self.poly.monomial_profile()
 
 
 @dataclass(frozen=True)
@@ -970,9 +757,9 @@ class SpectralFunction:
                 else complex(mult.alpha)
             a *= scale
             if abs(c) != 1:
-                cn = _int_norm(self.field, c)
-                const *= cn ** a if isinstance(cn, float) \
-                    else float(cn) ** a
+                vc = self.field.ops.int_ord(c)
+                const *= (0.0 if vc is None
+                          else float(Fraction(self.field.q) ** -vc)) ** a
             for ax, e in enumerate(exps):
                 w[ax] += a * e
         return const, w
@@ -1038,56 +825,7 @@ def dual_norm(T, m: int) -> float:
     return math.sqrt(max(sq, 0.0))
 
 
-def _int_norm(field: FieldSpec, c: int):
-    p = field.q
-    if c == 0:
-        return 0.0
-    if field.kind == "LaurentFp":
-        return 0.0 if c % p == 0 else 1.0
-    return float(Fraction(p) ** (-_p_ord(p, c)))
-
-
 # -- general polynomial multipliers (PATH B, Q_p) ------------------------------
-
-def _p_ord(p: int, x: int):
-    """ord_p of an integer; None at 0."""
-    if x == 0:
-        return None
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _frac_ord(p: int, x: Fraction):
-    if x == 0:
-        return None
-    return _p_ord(p, x.numerator) - _p_ord(p, x.denominator)
-
-
-def _scaled_terms(h: IntPolynomial, p: int, D: int):
-    """(terms, shift) with h(X / p^D) = sum c X^e / p^shift over the
-    (c, e) in terms, for every integer vector X: each coefficient carries
-    p^{D (deg h - |e|)}, and shift = D deg h."""
-    deg = h.degree()
-    return tuple((c * p ** (D * (deg - sum(e))), e) for e, c in h.terms), \
-        D * deg
-
-
-def _centre_ord(p: int, scaled, X):
-    """ord_p h(X / p^D), None at a zero, from ``_scaled_terms(h, p, D)``:
-    the order of one integer numerator, with no rational arithmetic."""
-    terms, shift = scaled
-    acc = 0
-    for c, e in terms:
-        for x, k in zip(X, e):
-            if k:
-                c *= x ** k
-        acc += c
-    v = _p_ord(p, acc)
-    return None if v is None else v - shift
-
 
 @lru_cache(maxsize=None)
 def _cell_volume(p: int, e: int) -> float:
@@ -1105,37 +843,33 @@ def _poly_weighted_integral(carrier: GridFunction, mults, tol=1e-12,
     the cell is subdivided; unresolved mass at the depth cap is bounded and
     reported as the tail.  Requires Re(beta_j) > 0.
     """
-    field = carrier.field
-    if field.kind != "Qp":
-        raise UnsupportedPolynomial(
-            "general polynomial symbols are implemented over Q_p")
+    # every cell centre is X / p^L with X an integer vector; the field
+    # layer refuses F_p((T)) here
+    ops, D = carrier.field.ops, carrier.L
+    hasse = [(h, b, ops.scaled_terms(h, D),
+              [(sum(gamma), ops.scaled_terms(dh, D))
+               for gamma, dh in h.hasse_derivatives()])
+             for h, b in mults]
     for h, b in mults:
         if complex(b).real <= 0:
             raise DivergentIntegral(
                 "general symbols need positive real exponent", multiplier=h)
-    p = field.q
     total = 0.0 + 0.0j
     tail = 0.0
     budget = [max_cells]
     cells = list(zip(*np.nonzero(carrier.values)))
     tol_cell = tol / max(1, len(cells))
-    # every cell centre is X / p^L with X an integer vector
-    D = carrier.L
-    hasse = [(h, b, _scaled_terms(h, p, D),
-              [(sum(gamma), _scaled_terms(dh, p, D))
-               for gamma, dh in h.hasse_derivatives()])
-             for h, b in mults]
     for idx in cells:
         val = complex(carrier.values[idx])
         X = tuple(int(i) for i in idx)
-        cval, ctail = _cell_poly_integral(p, hasse, X, D, carrier.m,
+        cval, ctail = _cell_poly_integral(ops, hasse, X, D, carrier.m,
                                           tol_cell, budget)
         total += val * cval
         tail += abs(val) * ctail
     return total, tail
 
 
-def _cell_poly_integral(p, hasse, X, D, M, tol, budget):
+def _cell_poly_integral(ops, hasse, X, D, M, tol, budget):
     """integral over X / p^D + B_{-M}^n of prod |h_j|^{beta_j}.
 
     Per factor the cell is classified: ``const`` when |h(center)| beats
@@ -1143,17 +877,17 @@ def _cell_poly_integral(p, hasse, X, D, M, tol, budget):
     (the pushforward of Haar measure is then uniform on a coset, closing
     the valuation distribution in closed form), otherwise it splits.
     """
-    n = len(X)
+    n, p = len(X), ops.p
     lnp = math.log(p)
     vol = _cell_volume(p, M * n)
     statuses = []
     sup_exp = 0.0  # - log_q of the sup bound of prod |h|^{Re b}
     for h, b, scaled, der in hasse:
-        oc = _centre_ord(p, scaled, X)
+        oc = ops.centre_ord(scaled, X)
         lin = None
         higher = None
         for size, dscaled in der:
-            od = _centre_ord(p, dscaled, X)
+            od = ops.centre_ord(dscaled, X)
             if od is None:
                 continue
             e = od + M * size
@@ -1207,7 +941,7 @@ def _cell_poly_integral(p, hasse, X, D, M, tol, budget):
     step = p ** (M + D)
     for off in np.ndindex(*(p,) * n):
         child = tuple(x + d * step for x, d in zip(X, off))
-        cval, ctail = _cell_poly_integral(p, hasse, child, D, M + 1,
+        cval, ctail = _cell_poly_integral(ops, hasse, child, D, M + 1,
                                           tol / children, budget)
         total += cval
         tail += ctail
@@ -1225,80 +959,18 @@ def partial_fourier_restrict(g: GridFunction, J, xi0) -> GridFunction:
         raise ValueError("J must be a nonempty proper subset of coordinates")
     if len(xi0) != len(J):
         raise ValueError("one xi0 coordinate per J index")
-    q = g.field.q
+    q, ops = g.field.q, g.field.ops
     # outside the dual ball the character integral vanishes
     for c in xi0:
-        nrm = c.norm() if isinstance(c, LocalFieldElement) else \
-            _rational_norm(q, Fraction(c))
-        if nrm > Fraction(q) ** g.m:
+        if ops.coord_norm(c) > Fraction(q) ** g.m:
             keep = [ax for ax in range(g.n) if ax not in J]
             return GridFunction.zeros(g.field, len(keep), g.L, g.m)
     v = g.values.astype(complex) if g.is_exact else g.values
     meas = float(Fraction(q) ** (-g.m))
     for ax, c in sorted(zip(J, xi0), reverse=True):
-        ph = _axis_char_weights(g, c) * meas
+        ph = ops.char_weights(c, g.L, g.m) * meas
         v = np.tensordot(v, ph, axes=([ax], [0]))
     return GridFunction(g.field, g.n - len(J), g.L, g.m, v)
-
-
-def _rational_norm(p, r: Fraction) -> Fraction:
-    if r == 0:
-        return Fraction(0)
-    return Fraction(p) ** (-_frac_ord(p, r))
-
-
-def _axis_char_weights(g: GridFunction, c) -> np.ndarray:
-    """chi(-rep_i * c) for every axis representative (exact exponents)."""
-    q = g.field.q
-    idx = np.arange(g.Q, dtype=np.int64)
-    if g.field.kind == "Qp":
-        if isinstance(c, LocalFieldElement):
-            if not c.is_zero and c.known_to < g.L:
-                raise Inexact("xi0 digits unresolved at the grid scale")
-            cf = c.as_fraction()
-        else:
-            cf = Fraction(c)
-        # -rep_i * c = -i * cf / q^L = N_i / (q^K u), u a unit mod q; its
-        # fractional part is r_i / q^K, r_i = N_i u^{-1} mod q^K exactly
-        u, K = cf.denominator, g.L
-        while u % q == 0:
-            u //= q
-            K += 1
-        qK = q ** K
-        t = -cf.numerator * pow(u, -1, qK) % qK
-        if g.Q * qK > 2 ** 53:
-            idx = idx.astype(object)  # Python ints, exact at any size
-        # both correctly rounded: each r_i / q^K is float(Fraction(r_i, q^K))
-        frac = (idx * t % qK / qK).tolist()
-        return np.array([cmath.exp(2j * math.pi * x) for x in frac],
-                        dtype=complex)
-    if not isinstance(c, LocalFieldElement):
-        raise TypeError("Laurent grids need LocalFieldElement coordinates")
-    if not c.is_zero and c.known_to < g.L:
-        raise Inexact("xi0 digits unresolved at the grid scale")
-    # the pairing of digit t of rep_i with the digit of c at L-1-t, mod q
-    acc = np.zeros(g.Q, dtype=np.int64)
-    for t in range(g.L + g.m):
-        e = g.L - 1 - t
-        if c.is_zero or e < c.valuation:
-            continue
-        if e >= c.known_to:
-            raise Inexact("xi0 digits unresolved at the grid scale")
-        acc += idx // q ** t % q * c.digit_at(e)
-    roots = np.array([cmath.exp(-2j * math.pi * a / q) for a in range(q)])
-    return roots[acc % q]
-
-
-def _qp_char_fraction(p, r: Fraction) -> Fraction:
-    den = r.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
-    if k == 0:
-        return Fraction(0)
-    pk = p ** k
-    return Fraction((r.numerator * pow(den, -1, pk)) % pk, pk)
 
 
 # -- space-side evaluation of spectral functions -------------------------------
@@ -1316,15 +988,14 @@ def spectral_space_value(T: SpectralFunction, point) -> complex:
         raise UnsupportedPolynomial("space-side values need coordinate-"
                                     "power multipliers")
     const, w = exps
-    nrm = max((c.norm() if isinstance(c, LocalFieldElement)
-               else _rational_norm(q, Fraction(c))) for c in point)
-    if nrm > Fraction(q) ** base.m:
+    ops = base.field.ops
+    if max(map(ops.coord_norm, point)) > Fraction(q) ** base.m:
         raise ValueError("point outside the dual resolution ball")
     v = base.values.astype(complex)
     meas = float(Fraction(q) ** (-base.m))
     for ax in reversed(range(base.n)):
         c = point[ax]
-        ph = np.conj(_axis_char_weights(base, c))  # chi(+x.xi)
+        ph = np.conj(ops.char_weights(c, base.L, base.m))  # chi(+x.xi)
         we = w[ax]
         wt = _axis_power_weights(base, we)
         # zero cell: the character is 1 there, the power integral closes it

@@ -3,17 +3,29 @@
 Elements are truncated uniformizer expansions ``pi^v * (d_0 + d_1 pi + ...)``
 with ``d_0 != 0``; the digit count is the precision.  All valuations, norms
 and additive-character values are exact rationals.
+
+Everything the other layers do differently on the two fields goes through
+``FieldSpec.ops``, one small object per field kind (``_QpOps``,
+``_LaurentOps``): axis tables, coordinates and characters of coset grids,
+the grid transform kernel, orders of integers and of polynomials at
+integer points, and point counts.  A point of R_K^n whose digits below
+pi^k are known is a vector of integers on both fields: sum d_i p^i is the
+p-adic integer over Q_p and d_0 + d_1 T + ... over F_p((T)).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import os
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .errors import Inexact
+import numpy as np
+
+from .errors import Inexact, UnsupportedPolynomial
 
 DEFAULT_PRECISION = 32
 
@@ -83,6 +95,11 @@ class FieldSpec:
     def q(self) -> int:
         # residue cardinality; restricted to q = p
         return self.p
+
+    @cached_property
+    def ops(self):
+        """The operations that differ between Q_p and F_p((T))."""
+        return _field_ops(self)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "p": self.p}
@@ -173,16 +190,9 @@ class LocalFieldElement:
             return LocalFieldElement.zero(field)
         p = field.p
         if field.kind == "Qp":
-            num, den = r.numerator, r.denominator
-            vn = 0
-            while num % p == 0:
-                num //= p
-                vn += 1
-            vd = 0
-            while den % p == 0:
-                den //= p
-                vd += 1
-            val = vn - vd
+            val = p_adic_ord(p, r)
+            num = r.numerator // p ** max(val, 0)
+            den = r.denominator // p ** max(-val, 0)
             unit = num * pow(den, -1, p ** precision) % p ** precision
             return _qp_from_unit(field, val, unit, precision)
         # LaurentFp: constants only
@@ -292,15 +302,8 @@ class LocalFieldElement:
                 raise Inexact("sum indistinguishable from zero "
                               "at current precision")
             return _qp_from_unit_shifted(self.field, v, s, width)
-        digits = [0] * width
-        for i, d in enumerate(self.digits):
-            j = self.valuation - v + i
-            if j < width:
-                digits[j] = (digits[j] + d) % p
-        for i, d in enumerate(other.digits):
-            j = other.valuation - v + i
-            if j < width:
-                digits[j] = (digits[j] + d) % p
+        digits = [(self.digit_at(e) + other.digit_at(e)) % p
+                  for e in range(v, known)]
         if not any(digits):
             raise Inexact("sum indistinguishable from zero "
                           "at current precision")
@@ -405,28 +408,43 @@ class LocalFieldElement:
 def _qp_from_unit(field, val, unit, prec):
     """The Q_p element p^val * unit, for a unit 0 < unit < p^prec prime to
     p; it keeps ``unit``, so products never rebuild it from the digits."""
-    p = field.p
-    digits = []
-    u = unit
-    for _ in range(prec):
-        digits.append(u % p)
-        u //= p
-    out = LocalFieldElement(field, val, tuple(digits))
+    out = LocalFieldElement(field, val, tuple(digits_of(unit, field.p, prec)))
     out.__dict__["_unit"] = unit
     return out
 
 
 def _qp_from_unit_shifted(field, val, s, width):
     """Integer s known mod p^width at base valuation val; normalize."""
-    p = field.p
-    shift = 0
-    while s % p == 0:
-        s //= p
-        shift += 1
-    return _qp_from_unit(field, val + shift, s, width - shift)
+    shift = p_adic_ord(field.p, s)
+    return _qp_from_unit(field, val + shift, s // field.p ** shift,
+                         width - shift)
 
 
 # -- module operations ------------------------------------------------------
+
+def p_adic_ord(p: int, x, cap=None):
+    """ord_p of an int or a Fraction, None at 0.  With ``cap`` (ints only)
+    also None once the order reaches cap, which bounds the loop."""
+    if x == 0:
+        return None
+    if type(x) is Fraction:
+        return p_adic_ord(p, x.numerator) - p_adic_ord(p, x.denominator)
+    v = 0
+    while x % p == 0 and v != cap:
+        x //= p
+        v += 1
+    return None if v == cap else v
+
+
+def digits_of(i: int, p: int, width: int) -> list:
+    """The base-p digits of i at places 0..width-1, least significant
+    first."""
+    out = []
+    for _ in range(width):
+        out.append(i % p)
+        i //= p
+    return out
+
 
 def valuation_and_norm(x: LocalFieldElement):
     """(ord(x), |x|_K) with the zero convention (inf, 0)."""
@@ -479,15 +497,11 @@ def char_fraction_of_rational(p: int, r) -> Fraction:
     inverted modulo the relevant p-power.
     """
     r = Fraction(r)
-    den = r.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
+    k = p_adic_ord(p, r.denominator)
     if k == 0:
         return Fraction(0)
     pk = p ** k
-    num = r.numerator * pow(den, -1, pk)
+    num = r.numerator * pow(r.denominator // pk, -1, pk)
     return Fraction(num % pk, pk)
 
 
@@ -556,3 +570,367 @@ class FieldVector:
             except ValueError as err:
                 raise ValueError(f"vector coordinate {i}: {err}") from None
         return FieldVector(tuple(out))
+
+
+# -- what differs between the two fields ---------------------------------------
+
+#: the sentinel norm exponent of an axis's zero representative
+ZERO_SENTINEL = -(10 ** 9)
+
+
+@lru_cache(maxsize=None)
+def _axis_norm_exps(p: int, L: int, m: int):
+    """norm exponent f with |rep_i| = q^f per axis index of a grid with
+    support exponent L and resolution m, the same on both fields; the
+    sentinel at the zero representative."""
+    Q = p ** (L + m)
+    idx = np.arange(Q, dtype=np.int64)
+    out = np.full(Q, L, dtype=np.int64)
+    pk = p
+    for _ in range(1, L + m):
+        out -= idx % pk == 0
+        pk *= p
+    out[0] = ZERO_SENTINEL
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _padded_digits(c: int, p: int, width: int) -> tuple:
+    return tuple(digits_of(c, p, width))
+
+
+@lru_cache(maxsize=None)
+def _field_ops(field):
+    return (_QpOps if field.kind == "Qp" else _LaurentOps)(field)
+
+
+class _FieldOps:
+    """Operations on coset grids, integers and polynomials that differ
+    between the two fields, reached as ``FieldSpec.ops``.
+
+    A coset grid with support exponent L and resolution m indexes the
+    representatives of pi^{-L} R_K / pi^m R_K on each axis by
+    sum_t d_t p^t over their digits d_t at exponent t - L.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.p
+
+    def norm_exps(self, L: int, m: int):
+        return _axis_norm_exps(self.p, L, m)
+
+    def coord_norm(self, c) -> Fraction:
+        """|c| for an element; the p-adic norm for a plain rational."""
+        if isinstance(c, LocalFieldElement):
+            return c.norm()
+        v = p_adic_ord(self.p, Fraction(c))
+        return Fraction(0) if v is None else Fraction(self.p) ** -v
+
+    def coord_index(self, c, L: int, m: int):
+        """Axis index of the coset containing c; None outside B_L."""
+        if not isinstance(c, LocalFieldElement):
+            c = self._read_rational(c, L + m)
+        if c.is_zero:
+            return 0
+        if c.valuation < -L:
+            return None
+        if c.known_to < m:
+            raise Inexact("coordinate not resolved to the grid resolution")
+        return c._unit * self.p ** (c.valuation + L) % self.p ** (L + m)
+
+
+class _QpOps(_FieldOps):
+    """Q_p: an axis index or a cell is a p-adic integer, so addition
+    carries, and the transform is one DFT of Z/q^{L+m} per axis."""
+
+    def int_ord(self, c: int):
+        """Order of the integer c in Q_p: v_p(c), None at 0."""
+        return p_adic_ord(self.p, c)
+
+    def poly_ord(self, f, point, cap: int):
+        """ord f(point) at an integer point, None from cap on."""
+        return p_adic_ord(self.p, f.eval_int(point), cap)
+
+    def _read_rational(self, c, width):
+        # precision width reaches the grid resolution inside B_L
+        return LocalFieldElement.from_rational(self.field, c, max(width, 1))
+
+    @lru_cache(maxsize=None)
+    def negation(self, L: int, m: int):
+        Q = self.p ** (L + m)
+        return (-np.arange(Q, dtype=np.int64)) % Q
+
+    def axis_add(self, i: int, j: int, L: int, m: int) -> int:
+        return (i + j) % self.p ** (L + m)
+
+    def char_weights(self, c, L: int, m: int) -> np.ndarray:
+        """chi(-rep_i * c) for every axis representative (exact
+        exponents)."""
+        q = self.p
+        Q = q ** (L + m)
+        idx = np.arange(Q, dtype=np.int64)
+        if isinstance(c, LocalFieldElement):
+            if not c.is_zero and c.known_to < L:
+                raise Inexact("xi0 digits unresolved at the grid scale")
+            cf = c.as_fraction()
+        else:
+            cf = Fraction(c)
+        # -rep_i * c = -i * cf / q^L = N_i / (q^K u), u a unit mod q; its
+        # fractional part is r_i / q^K, r_i = N_i u^{-1} mod q^K exactly
+        K = L + p_adic_ord(q, cf.denominator)
+        u = cf.denominator // q ** (K - L)
+        qK = q ** K
+        t = -cf.numerator * pow(u, -1, qK) % qK
+        if Q * qK > 2 ** 53:
+            idx = idx.astype(object)  # Python ints, exact at any size
+        # both correctly rounded: each r_i / q^K is float(Fraction(r_i, q^K))
+        frac = (idx * t % qK / qK).tolist()
+        return np.array([cmath.exp(2j * math.pi * x) for x in frac],
+                        dtype=complex)
+
+    def transform(self, v: np.ndarray, width: int, scale: float, owned: bool,
+                  inverse: bool) -> np.ndarray:
+        """The grid transform as one ``np.fft.fftn`` (``ifftn`` with
+        ``inverse``) over every axis, into v itself when ``owned``."""
+        dtype = np.result_type(v.dtype, np.complex64)  # that of np.fft.fftn
+        if v.ndim:
+            out = v if owned and v.dtype == dtype \
+                else np.empty(v.shape, dtype)
+            if inverse:
+                np.fft.ifftn(v, out=out, norm="forward")  # unscaled
+            else:
+                np.fft.fftn(v, out=out)
+        else:
+            out = np.array(v, dtype)  # fftn over no axes returns its input
+        out *= scale
+        return out
+
+    def scaled_terms(self, h, D: int):
+        """(terms, shift) with h(X / p^D) = sum c X^e / p^shift over the
+        (c, e) in terms, for every integer vector X: each coefficient
+        carries p^{D (deg h - |e|)}, and shift = D deg h."""
+        deg = h.degree()
+        return tuple((c * self.p ** (D * (deg - sum(e))), e)
+                     for e, c in h.terms), D * deg
+
+    def centre_ord(self, scaled, X):
+        """ord_p h(X / p^D), None at a zero, from ``scaled_terms(h, D)``:
+        the order of one integer numerator, with no rational arithmetic."""
+        terms, shift = scaled
+        acc = 0
+        for c, e in terms:
+            for x, k in zip(X, e):
+                if k:
+                    c *= x ** k
+            acc += c
+        v = p_adic_ord(self.p, acc)
+        return None if v is None else v - shift
+
+    def zero_counts(self, f, K: int):
+        """counts[k] = #{x mod p^{K+1} : f(x) == 0 mod p^k}, k = 0..K+1,
+        from numpy residues mod p^{K+1}, one slab per first coordinate."""
+        q, n = self.p, f.n
+        M = q ** (K + 1)
+        counts = [0] * (K + 2)
+        counts[0] = M ** n
+        if n == 1:
+            fv = _eval_poly_mod_np(f, [np.arange(M, dtype=np.int64)], M)
+            for k in range(1, K + 2):
+                counts[k] = int(np.count_nonzero(fv % q ** k == 0))
+            return counts
+        rest = M ** (n - 1)
+        base = np.empty((rest, n - 1), dtype=np.int64)
+        tmp = np.arange(rest, dtype=np.int64)
+        for j in range(n - 1):
+            base[:, j] = tmp % M
+            tmp //= M
+
+        def slab(x0):
+            cols = [np.full(rest, x0, dtype=np.int64)] + \
+                [base[:, j] for j in range(n - 1)]
+            fv = _eval_poly_mod_np(f, cols, M)
+            return [int(np.count_nonzero(fv % q ** k == 0))
+                    for k in range(1, K + 2)]
+
+        workers = int(os.environ.get("ULTRAZETA_THREADS", "1"))
+        if workers > 1:
+            # in-order reduction keeps the result schedule-independent
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                slabs = list(pool.map(slab, range(M)))
+        else:
+            slabs = [slab(x0) for x0 in range(M)]
+        for row in slabs:
+            for k in range(1, K + 2):
+                counts[k] += row[k - 1]
+        return counts
+
+
+def _eval_poly_mod_np(f, cols, M):
+    acc = np.zeros(cols[0].shape, dtype=np.int64)
+    for exps, c in f.terms:
+        t = np.full(cols[0].shape, c % M, dtype=np.int64)
+        for x, e in zip(cols, exps):
+            for _ in range(e):
+                t = (t * x) % M
+        acc = (acc + t) % M
+    return acc
+
+
+class _LaurentOps(_FieldOps):
+    """F_p((T)): an axis index or a cell is a digit vector, so addition is
+    digitwise, with no carry, and the transform is a tensor power of
+    p-point DFTs."""
+
+    def int_ord(self, c: int):
+        """Order of the integer c in F_p((T)), where p = 0: 0, or None
+        when p divides c."""
+        return 0 if c % self.p else None
+
+    def poly_ord(self, f, point, cap: int):
+        """ord f(point) at a point of digit-encoded integers, None from cap
+        on: f evaluated over F_p[T] / T^cap."""
+        fv = f.eval_fpt([_padded_digits(c, self.p, cap) for c in point],
+                        self.p, cap)
+        return next((i for i, d in enumerate(fv) if d), None)
+
+    def _read_rational(self, c, width):
+        raise TypeError("plain rationals only index Q_p grids")
+
+    @lru_cache(maxsize=None)
+    def negation(self, L: int, m: int):
+        # digitwise negation: -d_t mod p at every place p^t
+        p = self.p
+        idx = np.arange(p ** (L + m), dtype=np.int64)
+        out = np.zeros(p ** (L + m), dtype=np.int64)
+        pk = 1
+        for _ in range(L + m):
+            out += (-(idx // pk) % p) * pk
+            pk *= p
+        return out
+
+    def axis_add(self, i: int, j: int, L: int, m: int) -> int:
+        # digitwise addition, with no carry
+        out, pk = 0, 1
+        for _ in range(L + m):
+            out += (i // pk + j // pk) % self.p * pk
+            pk *= self.p
+        return out
+
+    def char_weights(self, c, L: int, m: int) -> np.ndarray:
+        """chi(-rep_i * c) for every axis representative (exact
+        exponents)."""
+        if not isinstance(c, LocalFieldElement):
+            raise TypeError("Laurent grids need LocalFieldElement "
+                            "coordinates")
+        if not c.is_zero and c.known_to < L:
+            raise Inexact("xi0 digits unresolved at the grid scale")
+        q = self.p
+        idx = np.arange(q ** (L + m), dtype=np.int64)
+        # the pairing of digit t of rep_i with the digit of c at L-1-t, mod q
+        acc = np.zeros(q ** (L + m), dtype=np.int64)
+        for t in range(L + m):
+            e = L - 1 - t
+            if c.is_zero or e < c.valuation:
+                continue
+            if e >= c.known_to:
+                raise Inexact("xi0 digits unresolved at the grid scale")
+            acc += idx // q ** t % q * c.digit_at(e)
+        roots = np.array([cmath.exp(-2j * math.pi * a / q) for a in range(q)])
+        return roots[acc % q]
+
+    def transform(self, v: np.ndarray, width: int, scale: float, owned: bool,
+                  inverse: bool) -> np.ndarray:
+        """The grid transform over all D = n * width digits at once.
+
+        The pairing of x and xi on one axis is the digit sum
+        sum_t x_t xi_{width-1-t} mod p, so the transform is F_p^{tensor D}
+        on the flat index followed by a digit reversal on every axis.
+        F_p^{tensor D} runs as one GEMM per group of c digits, where
+        p^c <= _GROUP_CELLS: x.reshape(P, N/P).T @ M transforms the top c
+        digits and rotates them to the bottom, so after all groups every
+        digit is back in place.
+        """
+        p, n = self.p, v.ndim
+        digits = n * width
+        if digits == 0:
+            return np.asarray(v * scale)  # an array even when n = 0
+        c = 1
+        while p ** (c + 1) <= _GROUP_CELLS:
+            c += 1
+        x = v
+        done = 0
+        while done < digits:
+            k = min(c, digits - done)
+            mat = _digit_group_matrix(p, k, inverse)
+            if done == 0:
+                mat = mat * scale
+            x = x.reshape(p ** k, -1).T @ mat
+            done += k
+        x = x.reshape(v.shape)
+        rev = _digit_reversal(p, width)
+        for ax in range(n):
+            x = np.take(x, rev, axis=ax)
+        return x
+
+    def scaled_terms(self, h, D: int):
+        raise UnsupportedPolynomial(
+            "general polynomial symbols are implemented over Q_p")
+
+    def zero_counts(self, f, K: int):
+        """counts[k] = #{x mod T^{K+1} : ord f(x) >= k}, k = 0..K+1, point
+        by point."""
+        p, n, width = self.p, f.n, K + 1
+        M = p ** width
+        counts = [M ** n] + [0] * (K + 1)
+        for flat in range(M ** n):
+            point, rem = [], flat
+            for _ in range(n):
+                rem, c = divmod(rem, M)
+                point.append(c)
+            lead = self.poly_ord(f, point, width)
+            for k in range(1, (width if lead is None else lead) + 1):
+                counts[k] += 1
+        return counts
+
+
+# F_p^{tensor c} runs fastest on one BLAS thread for p^c <= 16
+_GROUP_CELLS = 16
+
+
+@lru_cache(maxsize=None)
+def _digit_group_matrix(p: int, c: int, inverse=False) -> np.ndarray:
+    """F_p^{tensor c}: entry (a, b) is exp(-2 pi i e / p) with the exact
+    integer e = sum_t a_t b_t mod p over the base-p digits of a and b;
+    with ``inverse`` its conjugate, exp(2 pi i e / p)."""
+    idx = np.arange(p ** c, dtype=np.int64)
+    e = np.zeros((p ** c,) * 2, dtype=np.int64)
+    pk = 1
+    for _ in range(c):
+        d = (idx // pk) % p
+        e += np.multiply.outer(d, d)
+        pk *= p
+    k = np.arange(p)
+    half = np.minimum(k, p - k)
+    # conjugate pairs come out exactly conjugate, and p = 2 gives exactly -1,
+    # so the conjugate is the root of -e, and at p = 2 the same matrix
+    roots = np.cos(2 * np.pi * half / p) \
+        - 1j * np.sign(p - 2 * k) * np.sin(2 * np.pi * half / p)
+    out = roots[(-e if inverse else e) % p]
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _digit_reversal(p: int, width: int) -> np.ndarray:
+    """Index whose base-p digits are those of i in reverse order."""
+    idx = np.arange(p ** width, dtype=np.int64)
+    out = np.zeros(p ** width, dtype=np.int64)
+    lo, hi = 1, p ** max(width - 1, 0)
+    for _ in range(width):
+        out += (idx // lo) % p * hi
+        lo *= p
+        hi //= p
+    out.setflags(write=False)
+    return out

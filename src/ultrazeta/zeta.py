@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +62,8 @@ def igusa_series(f: IntPolynomial, field: FieldSpec, terms: int,
     """Exact coefficients c_0..c_terms of Z(s, f) over the unit polydisc."""
     if f.is_zero or f.is_constant:
         raise ValueError("zeta series needs a nonconstant polynomial")
+    if terms < 0:
+        raise ValueError(f"terms must be non-negative, not {terms}")
     if method == "brute":
         coeffs = _igusa_brute(f, field, terms, budget)
     elif method in ("auto", "lift"):
@@ -76,49 +77,29 @@ def igusa_series(f: IntPolynomial, field: FieldSpec, terms: int,
     return ZetaSeries(field.q, tuple(coeffs))
 
 
-def _coeff_ord(field: FieldSpec, c: int):
-    p = field.q
-    if field.kind == "LaurentFp":
-        return 0 if c % p else None
-    if c == 0:
-        return None
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
-
-
 def _igusa_monomial(f, field, K):
     """Valuation-distribution convolution for a global monomial.
 
     ord f = ord(coeff) + sum N_i ord(x_i) with independent geometrically
     distributed digits; an elementary count, independent of the
-    rational-function route.
+    rational-function route.  Each factor x_i^N convolves with
+    P(N ord x_i = Nj) = (1 - 1/q) q^{-j}, which is the recurrence
+    new[k] = (1 - 1/q) dist[k] + new[k - N] / q.
     """
     c, exps = f.monomial_profile()
     q = Fraction(field.q)
-    vc = _coeff_ord(field, c)
+    vc = field.ops.int_ord(c)
     if vc is None:
         raise ValueError("monomial coefficient vanishes in the field")
     dist = [Fraction(1)] + [Fraction(0)] * K
     for N in exps:
         if N == 0:
             continue
-        new = [Fraction(0)] * (K + 1)
-        for k in range(K + 1):
-            if dist[k] == 0:
-                continue
-            j = 0
-            while k + N * j <= K:
-                new[k + N * j] += dist[k] * (1 - 1 / q) * q ** (-j)
-                j += 1
+        new = [(1 - 1 / q) * d for d in dist]
+        for k in range(N, K + 1):
+            new[k] += new[k - N] / q
         dist = new
-    out = [Fraction(0)] * (K + 1)
-    for k in range(K + 1):
-        if k + vc <= K:
-            out[k + vc] = dist[k]
-    return out
+    return ([Fraction(0)] * vc + dist)[:K + 1]
 
 
 def _igusa_brute(f, field, K, budget):
@@ -127,90 +108,13 @@ def _igusa_brute(f, field, K, budget):
     M = q ** (K + 1)
     if M ** n > budget:
         raise BudgetExceeded(f"brute enumeration needs {M ** n} points")
-    if field.kind == "Qp":
-        counts = _brute_counts_qp(f, q, n, K, M)
-    else:
-        counts = _brute_counts_fpt(f, q, n, K)
+    # counts[k] = #{x mod pi^{K+1} : ord f(x) >= k}
+    counts = field.ops.zero_counts(f, K)
     total = Fraction(q) ** (-n * (K + 1))
-    # counts[k] = #{x mod p^{K+1} : f(x) == 0 mod p^k}
     out = []
     for k in range(K + 1):
         out.append((counts[k] - counts[k + 1]) * total)
     return out
-
-
-def _brute_counts_qp(f, q, n, K, M):
-    counts = [0] * (K + 2)
-    counts[0] = M ** n
-    if n == 1:
-        fv = _eval_poly_mod_np(f, [np.arange(M, dtype=np.int64)], M)
-        for k in range(1, K + 2):
-            counts[k] = int(np.count_nonzero(fv % q ** k == 0))
-        return counts
-    rest = M ** (n - 1)
-    base = np.empty((rest, n - 1), dtype=np.int64)
-    tmp = np.arange(rest, dtype=np.int64)
-    for j in range(n - 1):
-        base[:, j] = tmp % M
-        tmp //= M
-
-    def slab(x0):
-        cols = [np.full(rest, x0, dtype=np.int64)] + \
-            [base[:, j] for j in range(n - 1)]
-        fv = _eval_poly_mod_np(f, cols, M)
-        return [int(np.count_nonzero(fv % q ** k == 0))
-                for k in range(1, K + 2)]
-
-    workers = int(os.environ.get("ULTRAZETA_THREADS", "1"))
-    if workers > 1:
-        # in-order reduction keeps the result schedule-independent
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slabs = list(pool.map(slab, range(M)))
-    else:
-        slabs = [slab(x0) for x0 in range(M)]
-    for row in slabs:
-        for k in range(1, K + 2):
-            counts[k] += row[k - 1]
-    return counts
-
-
-def _eval_poly_mod_np(f, cols, M):
-    acc = np.zeros(cols[0].shape, dtype=np.int64)
-    for exps, c in f.terms:
-        t = np.full(cols[0].shape, c % M, dtype=np.int64)
-        for x, e in zip(cols, exps):
-            for _ in range(e):
-                t = (t * x) % M
-        acc = (acc + t) % M
-    return acc
-
-
-def _brute_counts_fpt(f, q, n, K):
-    counts = [0] * (K + 2)
-    width = K + 1
-    M = q ** width
-    counts[0] = M ** n
-
-    def digits(i):
-        out = []
-        for _ in range(width):
-            out.append(i % q)
-            i //= q
-        return tuple(out)
-
-    all_digits = [digits(i) for i in range(M)]
-    for flat in range(M ** n):
-        rem = flat
-        pt = []
-        for _ in range(n):
-            pt.append(all_digits[rem % M])
-            rem //= M
-        fv = f.eval_fpt(pt, q, width)
-        lead = next((i for i, d in enumerate(fv) if d), width)
-        for k in range(1, min(lead, width) + 1):
-            counts[k] += 1
-    return counts
 
 
 def _igusa_lift(f, field, K, budget):
@@ -222,11 +126,10 @@ def _igusa_lift(f, field, K, budget):
         w, wdeg = weights
         wtop = max(w)
     grads = f.gradient()
+    ops = field.ops
     spent = 0
-    if field.kind == "Qp":
-        open_cells = [(0,) * n]
-    else:
-        open_cells = [((),) * n]
+    # a cell is the integer vector of its known digits (see localfield)
+    open_cells = [(0,) * n]
     qfr = Fraction(q)
     for k in range(K + 1):
         # digits of each coordinate that vanish on the box prod pi^{w_i} R_K
@@ -242,17 +145,17 @@ def _igusa_lift(f, field, K, budget):
             raise BudgetExceeded(
                 f"lifting budget exhausted at level {k + 1}")
         for cell in open_cells:
-            for child in _cell_children(cell, field, k):
-                if not _vanishes_mod(f, field, child, k + 1):
-                    continue
+            for child in _cell_children(cell, q, k):
+                if ops.poly_ord(f, child, k + 1) is not None:
+                    continue  # f does not vanish mod pi^{k+1} on the cell
                 survivors += 1
-                if box is not None and _meets_box(field, child, box):
+                if box is not None and _meets_box(q, child, box):
                     if k + 1 == wtop:
                         continue  # inside the box: repaid afterwards
                     # straddles the box: a closure would count it twice
                     new_open.append(child)
                     continue
-                closure = _cell_closure(f, grads, field, child, k + 1)
+                closure = _cell_closure(f, grads, ops, child, k + 1)
                 if closure is None:
                     new_open.append(child)
                     continue
@@ -315,42 +218,18 @@ def _self_similarity_weights(f):
     return w, d
 
 
-def _cell_children(cell, field, level):
-    q = field.q
-    n = len(cell)
-    if field.kind == "Qp":
-        step = q ** level
-        for off in np.ndindex(*(q,) * n):
-            yield tuple(c + int(d) * step for c, d in zip(cell, off))
-    else:
-        for off in np.ndindex(*(q,) * n):
-            yield tuple(c + (int(d),) for c, d in zip(cell, off))
+def _cell_children(cell, q, level):
+    step = q ** level
+    for off in np.ndindex(*(q,) * len(cell)):
+        yield tuple(c + int(d) * step for c, d in zip(cell, off))
 
 
-def _vanishes_mod(f, field, point, k):
-    if field.kind == "Qp":
-        return f.eval_int(point, modulus=field.q ** k) == 0
-    return not any(f.eval_fpt(point, field.q, k))
-
-
-def _meets_box(field, point, widths):
+def _meets_box(q, point, widths):
     """Whether the leading widths[i] digits of every coordinate vanish."""
-    if field.kind == "Qp":
-        return all(c % field.q ** wi == 0 for c, wi in zip(point, widths))
-    return all(not any(c[:wi]) for c, wi in zip(point, widths))
+    return all(c % q ** wi == 0 for c, wi in zip(point, widths))
 
 
-def _int_ord_capped(x: int, p: int, cap: int):
-    if x == 0:
-        return None
-    v = 0
-    while v < cap and x % p == 0:
-        x //= p
-        v += 1
-    return v if v < cap else None
-
-
-def _cell_closure(f, grads, field, point, M):
+def _cell_closure(f, grads, ops, point, M):
     """Hensel-style closure of the survivor cell point + B_{-M}^n.
 
     With e = ord grad f at the canonical representative and e < M, every
@@ -359,42 +238,21 @@ def _cell_closure(f, grads, field, point, M):
     ('const'), and otherwise ord f is uniformly distributed from M+e on
     ('tail', M+e): the linear map pushes Haar measure onto a coset.
     """
-    q = field.q
     e = None
     for g in grads:
         if g.is_zero:
             continue
-        if field.kind == "Qp":
-            og = _int_ord_capped(g.eval_int(point), q, M)
-        else:
-            padded = _pad_fpt(point, M)
-            og = _fpt_first_nonzero(g.eval_fpt(padded, q, M))
+        og = ops.poly_ord(g, point, M)
         if og is not None:
             e = og if e is None else min(e, og)
             if e == 0:
                 break
-    if e is None or e >= M:
+    if e is None:  # ord grad f >= M: no closure
         return None
-    if field.kind == "Qp":
-        of = _int_ord_capped(f.eval_int(point), q, M + e)
-    else:
-        padded = _pad_fpt(point, M + e + 1)
-        of = _fpt_first_nonzero(f.eval_fpt(padded, q, M + e + 1))
-        of = of if of is not None and of < M + e else None
-    if of is not None and of < M + e:
+    of = ops.poly_ord(f, point, M + e)
+    if of is not None:
         return "const", of
     return "tail", M + e
-
-
-def _pad_fpt(point, width):
-    return tuple(c + (0,) * (width - len(c)) for c in point)
-
-
-def _fpt_first_nonzero(digits):
-    for i, d in enumerate(digits):
-        if d:
-            return i
-    return None
 
 
 # -- closed forms -------------------------------------------------------------
@@ -445,7 +303,7 @@ def snc_form_Z0(f: IntPolynomial, d: int, series: ZetaSeries,
     field = field or Qp(series.q)
     if not f.is_homogeneous() or f.degree() != d:
         raise ValueError("form must be homogeneous of the stated degree")
-    if any(_coeff_ord(field, c) != 0 for c in f.coefficients()):
+    if any(field.ops.int_ord(c) != 0 for c in f.coefficients()):
         raise ValueError("form needs unit coefficients")
     check_strong_nondegeneracy(f, field)
     q = series.q
@@ -721,11 +579,9 @@ def cells_to_rational(gh: GridFunction, specs) -> RationalFunctionT:
     cells contribute monomials q^{f(v-1)} t^{fN}, and zero cells the
     geometric factor (1-1/q)(q^{-v} t^N)^m / (1-q^{-v} t^N).
     """
-    from .grid import _axis_norm_exps  # local import to avoid cycle noise
-
     q = gh.field.q
     qf = Fraction(q)
-    fexp = _axis_norm_exps(gh.field.kind, q, gh.L, gh.m).tolist()
+    fexp = gh.field.ops.norm_exps(gh.L, gh.m).tolist()
     meas = qf ** (-gh.m)
     exact = gh.is_exact
     nz = np.nonzero(gh.values)
@@ -883,6 +739,8 @@ def predict_poles(data: ResolutionData, progressions, depth: int,
     deduplicated with provenance."""
     if len(progressions) != len(data.pairs):
         raise ValueError("one progression per datum")
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, not {depth}")
     found = []
     for di, ((N, v), prog) in enumerate(zip(data.pairs, progressions)):
         for ti, m in enumerate(prog.terms(depth)):

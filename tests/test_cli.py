@@ -432,3 +432,18 @@ def test_igusa_large_prime_exceeds_budget(capsys, method):
     assert rc == 1, err
     assert err.startswith("ultrazeta: BudgetExceeded: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "igusa", "--n", "1", "--poly", "x1^2", "--terms", "-1"],
+    ["zeta", "igusa", "--n", "2", "--poly", "x1*x2", "--terms", "-1"],
+    ["fundsol", "--poly", "x1", "--trials", "-1"],
+    ["fundsol", "--poly", "x1", "--trials", "0"],
+    ["poles", "--data", "(1,1)", "--prog", "2,1,...", "--depth", "-5"],
+    ["zeta", "poles", "--data", "(1,1)", "--prog", "2,1,...", "--depth",
+     "-1"],
+])
+def test_negative_size_arguments_exit_two(capsys, argv):
+    # an empty series, an empty pole list or a check that never ran must
+    # not pass as a result
+    _one_line_exit_two(argv, capsys)

@@ -214,16 +214,16 @@ def test_division_check_rejects_vanishing_coefficient():
 @pytest.mark.parametrize("bad", [5, 27, 80])
 def test_division_check_fails_on_a_wrong_norm_exponent(monkeypatch, field,
                                                        bad):
-    from ultrazeta import grid
+    from ultrazeta import localfield
 
-    table = grid._axis_norm_exps
+    table = localfield._axis_norm_exps
 
     def off_by_one(*key):
         out = table(*key).copy()
         out[bad] += 1
         return out
 
-    monkeypatch.setattr(grid, "_axis_norm_exps", off_by_one)
+    monkeypatch.setattr(localfield, "_axis_norm_exps", off_by_one)
     rep = division_check(XI12, field)
     # every cell with the index on either axis fails, and no other
     assert rep.trials == 80 * 80
@@ -237,14 +237,14 @@ def test_division_check_fails_on_a_wrong_norm_exponent(monkeypatch, field,
 def test_division_check_fails_on_a_wrong_element_digit(monkeypatch, field,
                                                        bad, zero):
     from ultrazeta import fundsol
-    from ultrazeta.grid import _axis_digits
+    from ultrazeta.localfield import digits_of
 
     build = fundsol._element_from_rep
 
     def wrong_digit(fld, const, L, m, index):
         if index != bad:
             return build(fld, const, L, m, index)
-        digits = _axis_digits(bad, fld.q, L + m)
+        digits = digits_of(bad, fld.q, L + m)
         low = next(t for t, d in enumerate(digits) if d)
         if zero:  # the only nonzero digit dropped: the zero element
             digits[low] = 0

@@ -14,11 +14,11 @@ from ultrazeta.grid import (MAX_GRID_CELLS, GridFunction, Multiplier,
                             embed, fourier_transform, hinf_metric, l2_norm,
                             pairing, partial_fourier_restrict, power_integral,
                             random_grid, reflect, sobolev_norm, sup_norm,
-                            sup_norm_constant_sq, unify_pair,
-                            _axis_char_weights, _axis_digits, _axis_negation,
-                            _axis_norm_exps, _qp_char_fraction, _spectrum,
+                            sup_norm_constant_sq, unify_pair, _spectrum,
                             inverse_fourier_transform, sobolev_norm_with_tail)
-from ultrazeta.grid import _centre_ord, _frac_ord, _scaled_terms
+from ultrazeta.localfield import (FieldSpec, _axis_norm_exps,
+                                  char_fraction_of_rational, digits_of,
+                                  p_adic_ord)
 from ultrazeta.intpoly import IntPolynomial
 from ultrazeta.localfield import LaurentFp, LocalFieldElement, Qp
 from ultrazeta.pdo import riesz_pairing
@@ -47,8 +47,8 @@ def reference_ft(g):
             else:
                 c = 0
                 for i, j in zip(iidx, oidx):
-                    di = _axis_digits(int(i), q, width)
-                    dj = _axis_digits(int(j), q, width)
+                    di = digits_of(int(i), q, width)
+                    dj = digits_of(int(j), q, width)
                     c += sum(di[t] * dj[width - 1 - t] for t in range(width))
                 phase = cmath.exp(-2j * math.pi * (c % q) / q)
             acc += val * phase
@@ -125,11 +125,11 @@ def test_axis_tables_match_per_index_definitions(kind, p):
         for L in sorted({0, width // 2, width}):
             m = width - L
             Q = p ** width
-            neg = _axis_negation(kind, p, L, m)
-            exps = _axis_norm_exps(kind, p, L, m)
+            neg = FieldSpec(kind, p).ops.negation(L, m)
+            exps = _axis_norm_exps(p, L, m)
             assert neg.shape == exps.shape == (Q,)
             for i in range(Q):
-                d = _axis_digits(i, p, width)
+                d = digits_of(i, p, width)
                 if kind == "Qp":
                     assert neg[i] == (Q - i) % Q
                 else:
@@ -155,7 +155,7 @@ def test_ft_single_coset_formula():
     for i in range(gh.Q):
         xi = Fraction(i, 3 ** gh.L)
         expect = cmath.exp(-2j * math.pi
-                           * float(_qp_char_fraction(3, xi))) / 3
+                           * float(char_fraction_of_rational(3, xi))) / 3
         assert abs(gh.values[i] - expect) < 1e-14
 
 
@@ -272,8 +272,7 @@ def test_partial_restrict_ft_identity():
         gh = fourier_transform(g)
         pg = partial_fourier_restrict(g, [1], [xi0r])
         pgh = fourier_transform(pg)
-        from ultrazeta.grid import _coord_index
-        j = _coord_index(F3, xi0r, gh.L, gh.m)
+        j = F3.ops.coord_index(xi0r, gh.L, gh.m)
         assert np.max(np.abs(pgh.values - gh.values[:, j])) < 1e-12
 
 
@@ -300,8 +299,7 @@ def test_partial_restrict_laurent_field():
     xi0 = LocalFieldElement.from_laurent_coeffs(field, {-1: 1})
     pg = partial_fourier_restrict(g, [1], [xi0])
     pgh = fourier_transform(pg)
-    from ultrazeta.grid import _coord_index
-    j = _coord_index(field, xi0, gh.L, gh.m)
+    j = field.ops.coord_index(xi0, gh.L, gh.m)
     assert np.max(np.abs(pgh.values - gh.values[:, j])) < 1e-12
 
 
@@ -415,7 +413,7 @@ def _per_cell_json_values(g, dense):
     for idx in np.ndindex(*g.values.shape):
         v = complex(g.values[idx])
         if dense or v != 0:
-            out.append({"coset": [_axis_digits(i, g.field.q, g.L + g.m)
+            out.append({"coset": [digits_of(i, g.field.q, g.L + g.m)
                                   for i in idx],
                         "re": v.real, "im": v.imag})
     return out
@@ -596,13 +594,13 @@ def _char_weights_per_index(g, c):
         if g.field.kind == "Qp":
             cf = c.as_fraction() if isinstance(c, LocalFieldElement) \
                 else Fraction(c)
-            r = _qp_char_fraction(q, -Fraction(i, q ** g.L) * cf)
+            r = char_fraction_of_rational(q, -Fraction(i, q ** g.L) * cf)
             out[i] = cmath.exp(2j * math.pi * float(r))
         else:
             # digit t of rep_i sits at exponent t - L; it pairs with the
             # digit of c at -1 - (t - L)
             acc = sum(d * c.digit_at(g.L - 1 - t)
-                      for t, d in enumerate(_axis_digits(i, q, g.L + g.m)))
+                      for t, d in enumerate(digits_of(i, q, g.L + g.m)))
             out[i] = cmath.exp(-2j * math.pi * (acc % q) / q)
     return out
 
@@ -625,12 +623,12 @@ def test_axis_char_weights_match_per_index_definition(field, L, m):
                Fraction(q ** 2, 11), Fraction(3, q ** 40), 12345678901234567]
     for c in cs:
         want = _char_weights_per_index(g, c)
-        assert _axis_char_weights(g, c).tobytes() == want.tobytes(), c
+        assert g.field.ops.char_weights(c, g.L, g.m).tobytes() == want.tobytes(), c
     # an xi0 without digits down to the grid scale is refused
     if L > 0:
         with pytest.raises(Inexact):
-            _axis_char_weights(g, LocalFieldElement.from_digits(
-                field, L - 2, [1]))
+            g.field.ops.char_weights(LocalFieldElement.from_digits(
+                field, L - 2, [1]), g.L, g.m)
 
 
 # -- the kept spectrum --------------------------------------------------------
@@ -746,7 +744,7 @@ def _spectral_sobolev_sq(g, l):
     [xi]^l |F g(xi)|^2 times the spectral cell measure."""
     gh = fourier_transform(g)
     q = float(gh.field.q)
-    f = _axis_norm_exps(gh.field.kind, gh.field.q, gh.L, gh.m).astype(float)
+    f = _axis_norm_exps(gh.field.q, gh.L, gh.m).astype(float)
     axis = np.maximum(np.where(f < -10 ** 8, 0.0, q ** f), 1.0)
     w = np.ones(gh.values.shape)
     for ax in range(gh.n):
@@ -874,19 +872,22 @@ def test_integer_cell_order_matches_fraction_order(case):
     p, L, X, h = case
     centre = tuple(Fraction(x, p ** L) for x in X)
     for poly in [h] + [dh for _, dh in h.hasse_derivatives()]:
-        assert _centre_ord(p, _scaled_terms(poly, p, L), X) \
-            == _frac_ord(p, poly.eval_fraction(centre))
+        assert Qp(p).ops.centre_ord(Qp(p).ops.scaled_terms(poly, L), X) \
+            == p_adic_ord(p, poly.eval_fraction(centre))
 
 
 def test_integer_cell_order_exact_zeros():
     h = IntPolynomial.make(2, {(2, 0): 1, (0, 2): -1})  # x1^2 - x2^2
     for p, L in ((3, 0), (3, 2), (2, 1)):
-        assert _centre_ord(p, _scaled_terms(h, p, L), (5, 5)) is None
-        assert _centre_ord(p, _scaled_terms(h, p, L), (0, 0)) is None
+        assert Qp(p).ops.centre_ord(Qp(p).ops.scaled_terms(h, L),
+                                    (5, 5)) is None
+        assert Qp(p).ops.centre_ord(Qp(p).ops.scaled_terms(h, L),
+                                    (0, 0)) is None
     zero = IntPolynomial.make(2, {})
-    assert _centre_ord(3, _scaled_terms(zero, 3, 1), (1, 2)) is None
-    assert _centre_ord(3, _scaled_terms(h, 3, 1), (2, 1)) \
-        == _frac_ord(3, Fraction(3, 9)) == -1
+    assert Qp(3).ops.centre_ord(Qp(3).ops.scaled_terms(zero, 1),
+                                (1, 2)) is None
+    assert Qp(3).ops.centre_ord(Qp(3).ops.scaled_terms(h, 1), (2, 1)) \
+        == p_adic_ord(3, Fraction(3, 9)) == -1
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -933,3 +934,19 @@ def test_evaluate_refuses_rationals_on_laurent_grid(c):
         g.evaluate([c, LocalFieldElement.zero(field)])
     with pytest.raises(TypeError):
         g.evaluate([LocalFieldElement.zero(field), c])
+
+
+def test_as_complex_matches_per_cell_conversion():
+    rng = np.random.default_rng(21)
+    vals = [Fraction(int(a), int(b)) for a, b in zip(
+        rng.integers(-10 ** 12, 10 ** 12, 81 * 81),
+        rng.integers(1, 10 ** 12, 81 * 81))]
+    vals[:4] = [Fraction(0), Fraction(1, 3 ** 200), Fraction(-7), 10 ** 300]
+    g = GridFunction(Qp(3), 2, 2, 2,
+                     np.array(vals, dtype=object).reshape(81, 81))
+    want = np.array([complex(v) for v in vals]).reshape(81, 81)
+    assert g.as_complex().tobytes() == want.tobytes()
+    big = GridFunction(Qp(3), 1, 0, 1,
+                       np.array([Fraction(10 ** 400, 3)] * 3, dtype=object))
+    with pytest.raises(OverflowError):
+        big.as_complex()

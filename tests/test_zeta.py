@@ -23,7 +23,7 @@ from ultrazeta.zeta import (GeneralizedProgression, HeatKernel,
                             monomial_zeta_closed, predict_poles,
                             snc_form_Z0, snc_pole_progressions)
 from ultrazeta.zeta import _self_similarity_weights
-from ultrazeta.grid import _axis_norm_exps
+from ultrazeta.localfield import _axis_norm_exps
 from ultrazeta.zeta import cells_to_rational
 
 F3 = Qp(3)
@@ -323,6 +323,43 @@ def test_monomial_closed_examples():
         assert list(series.coeffs) == closed.series(15)
 
 
+def _monomial_by_convolution(exps, vc, q, K):
+    """c_0..c_K for c x^exps with ord c = vc, by convolving the laws of
+    N ord x_i, P(N ord x_i = Nj) = (1 - 1/q) q^{-j}, term by term."""
+    q = Fraction(q)
+    dist = [Fraction(1)] + [Fraction(0)] * K
+    for N in exps:
+        if N == 0:
+            continue
+        new = [Fraction(0)] * (K + 1)
+        for k in range(K + 1):
+            j = 0
+            while k + N * j <= K:
+                new[k + N * j] += dist[k] * (1 - 1 / q) * q ** (-j)
+                j += 1
+        dist = new
+    return ([Fraction(0)] * vc + dist)[:K + 1]
+
+
+@pytest.mark.parametrize("field", [Qp(2), Qp(3), LaurentFp(5)])
+@pytest.mark.parametrize("text, n, ords", [
+    ("x1*x2", 2, {}), ("x1^2*x2^3", 2, {}), ("9*x1^3", 1, {2: 0, 3: 2}),
+    ("x1*x2^2*x3", 3, {}), ("4*x1^2*x3", 3, {2: 2})])
+def test_monomial_recurrence_matches_convolution(field, text, n, ords):
+    f = parse_polynomial(text, n)
+    vc = ords.get(field.p, 0) if field.kind == "Qp" else 0
+    want = _monomial_by_convolution(f.monomial_profile()[1], vc, field.q, 40)
+    assert list(igusa_series(f, field, 40).coeffs) == want
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_monomial_series_matches_closed_form_at_200_terms(q):
+    for exps in ((1, 1), (2, 3), (1, 1, 2)):
+        f = IntPolynomial.make(len(exps), {exps: 1})
+        assert list(igusa_series(f, Qp(q), 199).coeffs) \
+            == monomial_zeta_closed(list(exps), q=q).series(200)
+
+
 @pytest.mark.parametrize("field", [F3, F5])
 def test_snc_form(field):
     f = parse_polynomial("x1^2+x2^2", 2)
@@ -488,8 +525,8 @@ def test_elementary_functional_equation():
         gam = beta * N
         Dg = vladimirov([float(gam)], g)
         # multiplier is constant on the charged cells: exact grid image
-        from ultrazeta.grid import _axis_norm_exps
-        fex = _axis_norm_exps("Qp", 3, gh.L, gh.m)
+        from ultrazeta.localfield import _axis_norm_exps
+        fex = _axis_norm_exps(3, gh.L, gh.m)
         vals = gh.values * np.exp(
             np.where(fex > -10 ** 8, fex, 0) * gam * math.log(q))
         Dg_grid = inverse_fourier_transform(
@@ -598,7 +635,7 @@ def _cells_to_rational_per_cell(gh, specs):
     cell, in the same order of float operations."""
     q = gh.field.q
     qf = Fraction(q)
-    fexp = _axis_norm_exps(gh.field.kind, q, gh.L, gh.m)
+    fexp = _axis_norm_exps(q, gh.L, gh.m)
     meas = qf ** (-gh.m)
     exact = gh.is_exact
     cells = list(zip(*np.nonzero(gh.values)))
