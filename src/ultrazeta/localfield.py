@@ -408,7 +408,14 @@ class LocalFieldElement:
 def _qp_from_unit(field, val, unit, prec):
     """The Q_p element p^val * unit, for a unit 0 < unit < p^prec prime to
     p; it keeps ``unit``, so products never rebuild it from the digits."""
-    out = LocalFieldElement(field, val, tuple(digits_of(unit, field.p, prec)))
+    # digits_of's loop, inline: every Q_p operation builds one element
+    p = field.p
+    digits = []
+    u = unit
+    for _ in range(prec):
+        digits.append(u % p)
+        u //= p
+    out = LocalFieldElement(field, val, tuple(digits))
     out.__dict__["_unit"] = unit
     return out
 
@@ -430,10 +437,15 @@ def p_adic_ord(p: int, x, cap=None):
     if type(x) is Fraction:
         return p_adic_ord(p, x.numerator) - p_adic_ord(p, x.denominator)
     v = 0
-    while x % p == 0 and v != cap:
+    if cap is None:
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+    while v < cap and x % p == 0:
         x //= p
         v += 1
-    return None if v == cap else v
+    return v if v < cap else None
 
 
 def digits_of(i: int, p: int, width: int) -> list:
@@ -649,8 +661,9 @@ class _QpOps(_FieldOps):
         return p_adic_ord(self.p, c)
 
     def poly_ord(self, f, point, cap: int):
-        """ord f(point) at an integer point, None from cap on."""
-        return p_adic_ord(self.p, f.eval_int(point), cap)
+        """ord f(point) at an integer point, None from cap on; f is
+        evaluated mod p^cap, which keeps the integers small."""
+        return p_adic_ord(self.p, f.eval_int(point, self.p ** cap), cap)
 
     def _read_rational(self, c, width):
         # precision width reaches the grid resolution inside B_L
@@ -791,9 +804,12 @@ class _LaurentOps(_FieldOps):
     def poly_ord(self, f, point, cap: int):
         """ord f(point) at a point of digit-encoded integers, None from cap
         on: f evaluated over F_p[T] / T^cap."""
-        fv = f.eval_fpt([_padded_digits(c, self.p, cap) for c in point],
-                        self.p, cap)
-        return next((i for i, d in enumerate(fv) if d), None)
+        p = self.p
+        fv = f.eval_fpt([_padded_digits(c, p, cap) for c in point], p, cap)
+        for i, d in enumerate(fv):
+            if d:
+                return i
+        return None
 
     def _read_rational(self, c, width):
         raise TypeError("plain rationals only index Q_p grids")
