@@ -128,16 +128,19 @@ class GridFunction:
             L = max(radius_exp, 0)
         if m is None:
             m = max(-radius_exp, 0)
+        cidx = [0] * n
         if center is not None:
             cidx = [field.ops.coord_index(c, L, m) for c in center]
             if any(i is None for i in cidx):
                 raise ValueError("center lies outside the representable grid")
         g = GridFunction.zeros(field, n, L, m, exact=exact)
-        in_ball = np.flatnonzero(field.ops.norm_exps(L, m) <= radius_exp)
-        # center + ball member, computed through index arithmetic
-        axes = [in_ball] * n if center is None else \
-            [field.ops.axis_add(cidx[ax], in_ball, L, m) for ax in range(n)]
-        g.values[np.ix_(*axes)] = Fraction(1) if exact else 1.0 + 0.0j
+        # on both fields the ball is, on every axis, the class of the
+        # centre's index mod q^(L - radius_exp): its digits below -radius_exp
+        k = field.q ** min(max(L - radius_exp, 0), L + m)
+        idx = np.arange(g.Q)
+        g.values[np.ix_(*(np.flatnonzero(idx % k == cidx[ax] % k)
+                          for ax in range(n)))] = \
+            Fraction(1) if exact else 1.0 + 0.0j
         return g
 
     @property

@@ -653,7 +653,7 @@ class _FieldOps:
 
 
 class _QpOps(_FieldOps):
-    """Q_p: an axis index or a cell is a p-adic integer, so addition
+    """Q_p: an axis index or a cell is a p-adic integer, so negation
     carries, and the transform is one DFT of Z/q^{L+m} per axis."""
 
     def int_ord(self, c: int):
@@ -673,9 +673,6 @@ class _QpOps(_FieldOps):
     def negation(self, L: int, m: int):
         Q = self.p ** (L + m)
         return (-np.arange(Q, dtype=np.int64)) % Q
-
-    def axis_add(self, i: int, j: int, L: int, m: int) -> int:
-        return (i + j) % self.p ** (L + m)
 
     def char_weights(self, c, L: int, m: int) -> np.ndarray:
         """chi(-rep_i * c) for every axis representative (exact
@@ -792,7 +789,7 @@ def _eval_poly_mod_np(f, cols, M):
 
 
 class _LaurentOps(_FieldOps):
-    """F_p((T)): an axis index or a cell is a digit vector, so addition is
+    """F_p((T)): an axis index or a cell is a digit vector, so negation is
     digitwise, with no carry, and the transform is a tensor power of
     p-point DFTs."""
 
@@ -824,14 +821,6 @@ class _LaurentOps(_FieldOps):
         for _ in range(L + m):
             out += (-(idx // pk) % p) * pk
             pk *= p
-        return out
-
-    def axis_add(self, i: int, j: int, L: int, m: int) -> int:
-        # digitwise addition, with no carry
-        out, pk = 0, 1
-        for _ in range(L + m):
-            out += (i // pk + j // pk) % self.p * pk
-            pk *= self.p
         return out
 
     def char_weights(self, c, L: int, m: int) -> np.ndarray:

@@ -950,3 +950,27 @@ def test_as_complex_matches_per_cell_conversion():
                        np.array([Fraction(10 ** 400, 3)] * 3, dtype=object))
     with pytest.raises(OverflowError):
         big.as_complex()
+
+
+@pytest.mark.parametrize("field", [Qp(2), Qp(3), LaurentFp(2), LaurentFp(3)])
+def test_indicator_ball_about_a_centre_matches_the_definition(field):
+    # the cell of x lies in B_r(c) when |x - c| <= q^r, by element arithmetic
+    p, L, m = field.p, 2, 1
+    reps = [LocalFieldElement.from_digits(field, -L, digits_of(i, p, L + m))
+            for i in range(p ** (L + m))]
+
+    def inside(c, r):
+        out = []
+        for x in reps:
+            try:
+                out.append((x - c).norm() <= Fraction(p) ** r)
+            except Inexact:  # x = c at the grid resolution
+                out.append(True)
+        return np.array(out)
+
+    for r in range(-m, L + 2):
+        for ci, cj in ((0, 1), (p + 1, p ** (L + m) - 1), (p * p, p)):
+            g = GridFunction.indicator_ball(field, 2, r, L=L, m=m,
+                                            center=[reps[ci], reps[cj]])
+            want = np.outer(inside(reps[ci], r), inside(reps[cj], r))
+            assert np.array_equal(g.values != 0, want)
