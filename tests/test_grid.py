@@ -623,7 +623,8 @@ def test_axis_char_weights_match_per_index_definition(field, L, m):
                Fraction(q ** 2, 11), Fraction(3, q ** 40), 12345678901234567]
     for c in cs:
         want = _char_weights_per_index(g, c)
-        assert g.field.ops.char_weights(c, g.L, g.m).tobytes() == want.tobytes(), c
+        assert g.field.ops.char_weights(c, g.L, g.m).tobytes() \
+            == want.tobytes(), c
     # an xi0 without digits down to the grid scale is refused
     if L > 0:
         with pytest.raises(Inexact):
@@ -914,7 +915,7 @@ def test_symbol_refinement_scales_with_support(p, text, k):
             assert abs(a - scale * b) <= 1e-10 * abs(a) + ta + scale * tb
 
 
-# -- what F_p((T)) grids refuse -------------------------------------------------
+# -- what F_p((T)) grids refuse ----------------------------------------------
 
 def test_general_symbol_on_laurent_grid_is_refused():
     base = GridFunction.indicator_ball(LaurentFp(3), 2, 0, L=1, m=1)

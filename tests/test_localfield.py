@@ -352,7 +352,7 @@ def test_qp_char_fraction_matches_digit_sum(elems):
         assert char_fraction(x) == want
 
 
-# -- F_p((T)) arithmetic against the coefficient-level definition --------------
+# -- F_p((T)) arithmetic against the coefficient-level definition -----------
 
 def _kronecker(digits, base):
     """sum d_i base^i: with base past every coefficient of a product, the
