@@ -20,14 +20,13 @@ the other.
 
 Sobolev norms and the metric need no transform: [xi]^l is q^{kl} on the
 shell ||xi|| = q^k, whose spectral energy is read on the x side by block
-sums (``_shell_energies``).  Readers that are called again and again on
-one grid with different parameters compute what they need once and keep
-it, read-only, on the grid: Sobolev norms (per l) the m+1 shell energies,
-pairings (per T) and Riesz pairings (per alpha) the spectrum.  The grid's
-``values`` then become read-only too, so that a later write raises
-ValueError instead of leaving the kept data stale.  Convolution reuses a
-kept spectrum but keeps none, and ``fourier_transform`` always returns a
-new writable array.
+sums (``_shell_energies``).  The first Sobolev norm of a grid keeps
+those m+1 energies on it, read-only, for the norms at every other l; it
+is the only reader that keeps anything.  The grid's ``values`` then
+become read-only too, so that a later write raises ValueError instead of
+leaving the kept energies stale.  Pairings, Riesz pairings and
+convolution transform their operands afresh, and ``fourier_transform``
+always returns a new writable array.
 """
 
 from __future__ import annotations
@@ -89,9 +88,9 @@ class GridFunction:
 
     ``values`` has shape (q^{L+m},)*n; complex128 normally, object dtype
     (Fraction entries) on the exact path.  Treated as immutable: the first
-    Sobolev norm of a grid keeps its shell energies, and its first pairing
-    or Riesz pairing its spectrum, and from then on ``values`` (with every
-    array it is a view of) is read-only.
+    Sobolev norm of a grid keeps its shell energies, and from then on
+    ``values`` (with every array it is a view of) is read-only.  No other
+    reader keeps data or freezes ``values``.
     """
 
     field: FieldSpec
@@ -130,6 +129,9 @@ class GridFunction:
             m = max(-radius_exp, 0)
         cidx = [0] * n
         if center is not None:
+            if len(center) != n:
+                raise ValueError(f"center needs {n} coordinates, not "
+                                 f"{len(center)}")
             cidx = [field.ops.coord_index(c, L, m) for c in center]
             if any(i is None for i in cidx):
                 raise ValueError("center lies outside the representable grid")
@@ -439,24 +441,6 @@ def _freeze(a):
         a = a.base
 
 
-def _kept(g: GridFunction, name: str, compute):
-    """compute(g), computed on the first call and kept on g as ``name``,
-    read-only.  g.values is frozen with it, so that no write can leave
-    the kept result stale.  Callers only read the result."""
-    kept = getattr(g, name, None)
-    if kept is None:
-        kept = compute(g)
-        _freeze(getattr(kept, "values", kept))
-        _freeze(g.values)
-        object.__setattr__(g, name, kept)  # not a field: == and repr stay
-    return kept
-
-
-def _spectrum(g: GridFunction) -> GridFunction:
-    """The Fourier transform of g, kept on g (see ``_kept``)."""
-    return _kept(g, "_hat", fourier_transform)
-
-
 def reflect(g: GridFunction) -> GridFunction:
     """g(-x) on the same grid, in a new array."""
     perm = g.field.ops.negation(g.L, g.m)
@@ -467,19 +451,15 @@ def reflect(g: GridFunction) -> GridFunction:
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Convolution via the transform product F(f * g) = Ff . Fg.  A kept
-    spectrum of either operand is reused; none is kept."""
-    kept = [getattr(x, "_hat", None) for x in (f, g)]
-    fh, gh = unify_pair(*(k if k is not None else fourier_transform(x)
-                          for x, k in zip((f, g), kept)))
-    # the product goes into an array of ours (a new transform or an
-    # embedding), never into a kept spectrum.  For one cell numpy rounds a
+    """Convolution via the transform product F(f * g) = Ff . Fg; f and g
+    are only read."""
+    fh, gh = unify_pair(fourier_transform(f), fourier_transform(g))
+    # the product goes into fh, a new array.  For one cell numpy rounds a
     # complex product in place differently from a new one, so one cell
-    # goes to a new array, as does a product of two kept spectra
+    # goes to a new array
     a, b = fh.values, gh.values
-    ours = [h.values for h, k in zip((fh, gh), kept) if h is not k]
-    own = ours and a.size > 1 and a.dtype == b.dtype
-    prod = np.multiply(a, b, out=ours[0] if own else None)
+    own = a.size > 1 and a.dtype == b.dtype
+    prod = np.multiply(a, b, out=a if own else None)
     return _transform(fh._with(prod), owned=True, inverse=True)
 
 
@@ -547,12 +527,17 @@ def sobolev_norm(g, l: int) -> float:
 
 def sobolev_norm_with_tail(g, l: int):
     """(||g||_l, certified tail bound on the squared norm).  A grid keeps
-    its shell energies on the first call, read-only, which freezes its
-    values."""
+    its shell energies on the first call, read-only, and its values are
+    frozen with them, so that no write can leave them stale."""
     if isinstance(g, SpectralFunction):
         sq, tail = g.norm_sq(l)
         return math.sqrt(max(sq, 0.0)), tail
-    S = _kept(g, "_shells", _shell_energies)
+    S = getattr(g, "_shells", None)
+    if S is None:
+        S = _shell_energies(g)
+        _freeze(S)
+        _freeze(g.values)
+        object.__setattr__(g, "_shells", S)  # not a field: == and repr stay
     w = float(g.field.q) ** (np.arange(S.size) * l)
     return math.sqrt(float(np.sum(w * S))), 0.0
 
@@ -814,7 +799,7 @@ def dirac(field: FieldSpec, n: int, support_exp: int = 4,
 
 def pairing(T, g: GridFunction) -> complex:
     """[T, g] = integral conj(T-hat) g-hat."""
-    ghat = _spectrum(g)
+    ghat = fourier_transform(g)
     if isinstance(T, GridFunction):
         T = SpectralFunction(T, ())
     return T.pairing_against(ghat)
@@ -1009,13 +994,9 @@ def spectral_space_value(T: SpectralFunction, point) -> complex:
     return complex(v) * const
 
 
-def random_grid(field: FieldSpec, n: int, L: int, m: int, rng,
-                density: float = 1.0) -> GridFunction:
-    """Random complex grid function (dense by default)."""
+def random_grid(field: FieldSpec, n: int, L: int, m: int, rng) -> GridFunction:
+    """Random dense complex grid function."""
     Q = field.q ** (L + m)
     v = np.asarray(rng.standard_normal((Q,) * n)
                    + 1j * rng.standard_normal((Q,) * n))  # 0-d when n = 0
-    if density < 1.0:
-        mask = rng.random((Q,) * n) < density
-        v = np.where(mask, v, 0.0)
     return GridFunction(field, n, L, m, v)

@@ -136,10 +136,8 @@ class IntPolynomial:
                 out[new] = out.get(new, 0) + cc
         return IntPolynomial.make(self.n, out)
 
-    def hasse_derivatives(self, max_total=None):
+    def hasse_derivatives(self):
         """All nonzero D^gamma f with |gamma| >= 1."""
-        if max_total is None:
-            max_total = self.degree()
         out = []
 
         def rec(prefix, remaining, budget):
@@ -152,7 +150,7 @@ class IntPolynomial:
             for g in range(budget + 1):
                 rec(prefix + [g], remaining - 1, budget - g)
 
-        rec([], self.n, max_total)
+        rec([], self.n, self.degree())
         return out
 
     def __repr__(self):

@@ -633,11 +633,10 @@ class _FieldOps:
         return _axis_norm_exps(self.p, L, m)
 
     def coord_norm(self, c) -> Fraction:
-        """|c| for an element; the p-adic norm for a plain rational."""
-        if isinstance(c, LocalFieldElement):
-            return c.norm()
-        v = p_adic_ord(self.p, Fraction(c))
-        return Fraction(0) if v is None else Fraction(self.p) ** -v
+        """|c|, reading a plain rational as ``coord_index`` does."""
+        if not isinstance(c, LocalFieldElement):
+            c = self._read_rational(c, 1)
+        return c.norm()
 
     def coord_index(self, c, L: int, m: int):
         """Axis index of the coset containing c; None outside B_L."""

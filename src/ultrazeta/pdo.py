@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import PoleOfGamma
-from .grid import GridFunction, Multiplier, SpectralFunction, _spectrum, \
+from .grid import GridFunction, Multiplier, SpectralFunction, \
     fourier_transform, pairing, power_integral
 from .intpoly import IntPolynomial
 
@@ -159,30 +159,21 @@ class RieszKernelSpec:
         return out
 
 
-def riesz_pairing(alpha, phi: GridFunction, zero_mode="closed") -> complex:
+def riesz_pairing(alpha, phi: GridFunction) -> complex:
     """integral of prod f_{alpha_i}(xi_i) phi-hat(xi): the frequency-side
     Riesz pairing.  Coordinates with alpha_i = 0 restrict phi-hat to
     xi_i = 0 (the delta convention)."""
     spec = RieszKernelSpec(phi.field.q, tuple(complex(a) for a in alpha))
-    phih = _spectrum(phi)
-    deltas = [i for i, a in enumerate(spec.alpha) if a == 0]
-    if deltas:
-        keep = [i for i in range(phi.n) if i not in deltas]
+    phih = fourier_transform(phi)
+    keep = [i for i, a in enumerate(spec.alpha) if a != 0]
+    if len(keep) < phi.n:
         if not keep:
-            return complex(phih.values[tuple(0 for _ in range(phi.n))])
-        sl = [0 if i in deltas else slice(None) for i in range(phi.n)]
-        restricted = GridFunction(phi.field, len(keep), phih.L, phih.m,
-                                  phih.values[tuple(sl)])
-        w = [spec.alpha[i] - 1 for i in keep]
-        base = power_integral(restricted, w, zero_mode=zero_mode)
-        gp = 1.0 + 0.0j
-        gf = GammaFactor(phi.field.q)
-        for i in keep:
-            gp *= gf(spec.alpha[i])
-        return complex(base) / gp
-    w = [a - 1 for a in spec.alpha]
-    return complex(power_integral(phih, w, zero_mode=zero_mode)) \
-        / spec.gamma_product()
+            return complex(phih.values[(0,) * phi.n])
+        sl = tuple(slice(None) if i in keep else 0 for i in range(phi.n))
+        phih = GridFunction(phi.field, len(keep), phih.L, phih.m,
+                            phih.values[sl])
+    w = [spec.alpha[i] - 1 for i in keep]
+    return complex(power_integral(phih, w)) / spec.gamma_product()
 
 
 def riesz_space_side(alpha, phi: GridFunction) -> complex:

@@ -281,7 +281,7 @@ def rf_arith(a: RationalFunctionT, b: RationalFunctionT, op: str,
 
 # -- rational reconstruction -------------------------------------------------
 
-def _solve_exact(rows, rhs):
+def solve_exact(rows, rhs):
     """Gaussian elimination over Fractions.
 
     Returns (solution, determined) or (None, True) when inconsistent;
@@ -334,7 +334,7 @@ def reconstruct_from_series(series, deg_bounds, q: int,
         rhs.append(-series[k])
     determined = True
     if dd:
-        sol, determined = _solve_exact(rows, rhs)
+        sol, determined = solve_exact(rows, rhs)
         if sol is None:
             raise NoSolution("no denominator at the given degree bounds")
         den = Poly([Fraction(1)] + sol)

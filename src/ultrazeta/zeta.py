@@ -28,8 +28,8 @@ from .errors import AmbiguousSolution, BudgetExceeded, DivergentIntegral, \
 from .grid import GridFunction, fourier_transform, power_integral
 from .intpoly import IntPolynomial
 from .localfield import FieldSpec, Qp
-from .ratfunc import Poly, RationalFunctionT, _solve_exact, \
-    reconstruct_from_series
+from .ratfunc import Poly, RationalFunctionT, reconstruct_from_series, \
+    solve_exact
 
 
 # -- zeta series --------------------------------------------------------------
@@ -62,6 +62,9 @@ def igusa_series(f: IntPolynomial, field: FieldSpec, terms: int,
     """Exact coefficients c_0..c_terms of Z(s, f) over the unit polydisc."""
     if f.is_zero or f.is_constant:
         raise ValueError("zeta series needs a nonconstant polynomial")
+    if all(field.ops.int_ord(c) is None for c in f.coefficients()):
+        raise ValueError(f"{f!r} vanishes in the field: p divides every "
+                         f"coefficient")
     if terms < 0:
         raise ValueError(f"terms must be non-negative, not {terms}")
     if method == "brute":
@@ -89,8 +92,6 @@ def _igusa_monomial(f, field, K):
     c, exps = f.monomial_profile()
     q = Fraction(field.q)
     vc = field.ops.int_ord(c)
-    if vc is None:
-        raise ValueError("monomial coefficient vanishes in the field")
     dist = [Fraction(1)] + [Fraction(0)] * K
     for N in exps:
         if N == 0:
@@ -198,7 +199,7 @@ def _self_similarity_weights(f):
     n = f.n
     if f.is_homogeneous():
         return (1,) * n, f.degree()
-    sol, determined = _solve_exact([list(e) for e in exps], [1] * len(exps))
+    sol, determined = solve_exact([list(e) for e in exps], [1] * len(exps))
     if sol is None or not determined or not all(x > 0 for x in sol):
         return None
     scale = math.lcm(*(x.denominator for x in sol))
@@ -257,15 +258,12 @@ def _cell_closure(f, grads, ops, point, M):
 
 # -- closed forms -------------------------------------------------------------
 
-def geometric_zeta_factor(q: int, N: int, v, m: int = 0,
-                          ) -> RationalFunctionT:
-    """(1 - 1/q) (q^{-v} t^N)^m / (1 - q^{-v} t^N): the ball integral of
-    |xi|^{N s + v - 1} over B_{-m}."""
+def geometric_zeta_factor(q: int, N: int, v) -> RationalFunctionT:
+    """(1 - 1/q) / (1 - q^{-v} t^N): the integral of |xi|^{N s + v - 1}
+    over R_K."""
     qf = Fraction(q)
-    scale = (1 - 1 / qf)
-    num = [Fraction(0)] * (N * m) + [scale * qf ** (-v * m)]
     den = [Fraction(1)] + [Fraction(0)] * (N - 1) + [-qf ** (-v)]
-    return RationalFunctionT.from_coeffs(num, den, q)
+    return RationalFunctionT.from_coeffs([1 - 1 / qf], den, q)
 
 
 def monomial_zeta_closed(N, v=None, q: int = 3) -> RationalFunctionT:
@@ -276,7 +274,7 @@ def monomial_zeta_closed(N, v=None, q: int = 3) -> RationalFunctionT:
     for Ni, vi in zip(N, v):
         if Ni < 1 or vi < 1:
             raise ValueError("exponents and offsets must be >= 1")
-        out = out * geometric_zeta_factor(q, Ni, vi, 0)
+        out = out * geometric_zeta_factor(q, Ni, vi)
     return out
 
 
@@ -351,6 +349,12 @@ def reconstruct_snc_zeta(series: ZetaSeries, n: int, d: int,
 
 # -- the H-infinity zeta function for SNC forms -------------------------------
 
+# truncation tolerance of both evaluation modes, and the distance from a
+# predicted pole inside which factored_continuation refuses s
+_HINF_TOL = 1e-14
+_POLE_GUARD = 1e-6
+
+
 @dataclass
 class EvalResult:
     value: complex
@@ -366,21 +370,18 @@ class HinfZetaEngine:
     """
 
     def __init__(self, n: int, d: int, alpha: float, field: FieldSpec = None,
-                 f: IntPolynomial = None, series_terms: int = None,
-                 pole_depth: int = 24, guard: float = 1e-6):
+                 f: IntPolynomial = None, pole_depth: int = 24):
         self.field = field or Qp(3)
         self.n, self.d, self.alpha = n, d, float(alpha)
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, not {self.alpha}")
         self.q = self.field.q
-        self.guard = guard
         if f is None:
             f = IntPolynomial.make(
                 n, {tuple(d if j == i else 0 for j in range(n)): 1
                     for i in range(n)})
         self.f = f
-        terms = series_terms or (2 * d + 8)
-        series = igusa_series(f, self.field, terms)
+        series = igusa_series(f, self.field, 2 * d + 8)
         self.Z0 = snc_form_Z0(f, d, series, self.field)
         self.prediction = predict_poles(
             ResolutionData(((1, 1), (d, n))),
@@ -393,26 +394,26 @@ class HinfZetaEngine:
     def _proximity_check(self, s):
         sd = complex(s)
         for pole in self.pole_real_parts():
-            if abs(sd - pole) < self.guard:
+            if abs(sd - pole) < _POLE_GUARD:
                 raise PoleProximity(
-                    f"s = {s} within {self.guard} of predicted pole {pole}",
+                    f"s = {s} within {_POLE_GUARD} of predicted pole {pole}",
                     s=s, pole=pole)
 
     def value(self, s, mode: str = "factored_continuation",
-              tol: float = 1e-14, raw: bool = False) -> EvalResult:
+              raw: bool = False) -> EvalResult:
         if not cmath.isfinite(complex(s)):
             raise ValueError(f"s must be finite, not {s}")
         if mode == "sphere_series":
-            return self.sphere_series(s, tol=tol)
+            return self.sphere_series(s)
         if mode == "factored_continuation":
             if not raw:
                 self._proximity_check(s)
-            return self.factored(s, tol=tol)
+            return self.factored(s)
         raise ValueError(f"unknown mode {mode!r}")
 
-    def sphere_series(self, s, tol: float = 1e-14) -> EvalResult:
+    def sphere_series(self, s) -> EvalResult:
         """Partition over the spheres pi^j S_0^n; only valid on Re s > 0."""
-        sd = complex(s)
+        sd, tol = complex(s), _HINF_TOL
         c = self.d * sd.real + self.n
         if c <= 0 or sd.real <= 0:
             raise DivergentIntegral(
@@ -444,19 +445,17 @@ class HinfZetaEngine:
         return EvalResult(z0 * acc, abs(z0) * (tol + tail2),
                           "sphere_series", trunc - j)
 
-    def z1_factored(self, s, tol: float = 1e-14, split_order: int = None):
+    def z1_factored(self, s):
         """Z_1 = Z_11 + Z_12 by the exponential-series split over the unit
         ball plus the entire large-sphere part; continues past Re s = 0.
         Returns (value, split order used)."""
-        sd = complex(s)
+        sd, tol = complex(s), _HINF_TOL
         q, alpha, lnq = self.q, self.alpha, math.log(self.q)
-        L = split_order
-        if L is None:
-            L = 1
-            while math.lgamma(L + 2) < math.log(1e16):
-                L += 1
-            need = (-self.d * sd.real - self.n) / alpha
-            L = max(L, int(math.ceil(need)) + 2)
+        L = 1
+        while math.lgamma(L + 2) < math.log(1e16):
+            L += 1
+        need = (-self.d * sd.real - self.n) / alpha
+        L = max(L, int(math.ceil(need)) + 2)
         # polar singular part
         z11 = 0.0 + 0.0j
         for l in range(L + 1):
@@ -493,11 +492,10 @@ class HinfZetaEngine:
             jj += 1
         return z11 + z12, L
 
-    def factored(self, s, tol: float = 1e-14, split_order: int = None,
-                 ) -> EvalResult:
-        z1, L = self.z1_factored(s, tol=tol, split_order=split_order)
+    def factored(self, s) -> EvalResult:
+        z1, L = self.z1_factored(s)
         z0 = complex(self.Z0.eval_t(complex(self.q) ** (-complex(s))))
-        return EvalResult(z0 * z1, abs(z0) * 3 * tol,
+        return EvalResult(z0 * z1, abs(z0) * 3 * _HINF_TOL,
                           "factored_continuation", L)
 
 
@@ -515,10 +513,10 @@ def _exp_tail(x, L):
     return acc
 
 
-def locate_real_poles(engine: HinfZetaEngine, lo: float, hi: float,
-                      coarse: float = 1e-3, threshold: float = 1e4):
-    """Scan |Z(s)| on the real axis and refine each spike by ternary
-    search; returns the located pole positions."""
+def locate_real_poles(engine: HinfZetaEngine, lo: float, hi: float):
+    """Scan |Z(s)| on the real axis in steps of 10^-3 and refine each
+    spike above 10^4 by ternary search; returns the located pole
+    positions."""
 
     def mag(s):
         try:
@@ -527,11 +525,11 @@ def locate_real_poles(engine: HinfZetaEngine, lo: float, hi: float,
         except ZeroDivisionError:
             return float("inf")
 
-    xs = np.arange(lo, hi, coarse)
+    xs = np.arange(lo, hi, 1e-3)
     vals = [mag(float(x)) for x in xs]
     found = []
     for i in range(1, len(xs) - 1):
-        if vals[i] > threshold and vals[i] >= vals[i - 1] \
+        if vals[i] > 1e4 and vals[i] >= vals[i - 1] \
                 and vals[i] >= vals[i + 1]:
             a, b = float(xs[i - 1]), float(xs[i + 1])
             for _ in range(80):
@@ -733,14 +731,23 @@ class PolePrediction:
                    for c in self.candidates)
 
 
+# most (datum, term) pairs predict_poles builds
+_MAX_POLE_CANDIDATES = 10 ** 4
+
+
 def predict_poles(data: ResolutionData, progressions, depth: int,
                   ) -> PolePrediction:
     """All -(v_E + m)/N_E over the progression terms, sorted and
-    deduplicated with provenance."""
+    deduplicated with provenance.  More than 10^4 (datum, term) pairs
+    raise BudgetExceeded before any is built."""
     if len(progressions) != len(data.pairs):
         raise ValueError("one progression per datum")
     if depth < 0:
         raise ValueError(f"depth must be non-negative, not {depth}")
+    if len(data.pairs) * (depth + 1) > _MAX_POLE_CANDIDATES:
+        raise BudgetExceeded(
+            f"{len(data.pairs)} data to depth {depth} exceed the budget of "
+            f"{_MAX_POLE_CANDIDATES} pole candidates")
     found = []
     for di, ((N, v), prog) in enumerate(zip(data.pairs, progressions)):
         for ti, m in enumerate(prog.terms(depth)):
@@ -805,11 +812,11 @@ class HeatKernel:
         """Value on the sphere ||xi|| = q^j."""
         return math.exp(-self.t * float(self.q) ** (j * self.alpha))
 
-    def norm_sq_with_tail(self, l: int, tol: float = 1e-13):
+    def norm_sq_with_tail(self, l: int):
         """integral [xi]^l exp(-2t ||xi||^alpha): sphere series with a
         certified geometric tail on the small side and doubly-exponential
-        cutoff on the large side."""
-        q, n, lnq = self.q, self.n, math.log(self.q)
+        cutoff on the large side, each below 10^-13."""
+        q, n, lnq, tol = self.q, self.n, math.log(self.q), 1e-13
         acc = 0.0
         j = 0
         while True:  # ||xi|| = q^{-j}, j >= 0: [xi] = 1
@@ -833,6 +840,6 @@ class HeatKernel:
                 break
         return acc, tail
 
-    def norm(self, l: int, tol: float = 1e-13) -> float:
-        sq, _ = self.norm_sq_with_tail(l, tol)
+    def norm(self, l: int) -> float:
+        sq, _ = self.norm_sq_with_tail(l)
         return math.sqrt(sq)

@@ -165,7 +165,7 @@ def test_criterion_7_fundamental_solutions():
     worst = 0.0
     for poly, n in (("x1", 1), ("x1*x2", 2)):
         f = parse_polynomial(poly, n)
-        rep = delta_identity_check(f, field, 10, rng, tol=1e-8)
+        rep = delta_identity_check(f, field, 10, rng)
         assert rep.passed
         worst = max(worst, rep.max_error)
         div = division_check(f, field)

@@ -447,3 +447,22 @@ def test_negative_size_arguments_exit_two(capsys, argv):
     # an empty series, an empty pole list or a check that never ran must
     # not pass as a result
     _one_line_exit_two(argv, capsys)
+
+
+def test_igusa_polynomial_zero_in_the_field_exits_two(capsys):
+    for method in ("auto", "lift", "brute"):
+        err = _one_line_exit_two(
+            ["zeta", "igusa", "--field-kind", "LaurentFp", "--p", "3",
+             "--n", "1", "--poly", "3*x1", "--terms", "3",
+             "--method", method], capsys)
+        assert "vanishes in the field" in err
+
+
+def test_poles_depth_over_budget_exits_one(capsys):
+    # refused before any candidate is built: 2 * 10^6 of them
+    rc = main(["poles", "--data", "(1,1);(2,2)", "--prog", "2,1,...",
+               "--depth", str(10 ** 6)])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("ultrazeta: BudgetExceeded: ")
+    assert err.count("\n") == 1

@@ -13,8 +13,9 @@ from ultrazeta.grid import (MAX_GRID_CELLS, GridFunction, Multiplier,
                             SpectralFunction, convolve, dirac, dual_norm,
                             embed, fourier_transform, hinf_metric, l2_norm,
                             pairing, partial_fourier_restrict, power_integral,
-                            random_grid, reflect, sobolev_norm, sup_norm,
-                            sup_norm_constant_sq, unify_pair, _spectrum,
+                            random_grid, reflect, sobolev_norm,
+                            spectral_space_value, sup_norm,
+                            sup_norm_constant_sq, unify_pair,
                             inverse_fourier_transform, sobolev_norm_with_tail)
 from ultrazeta.localfield import (FieldSpec, _axis_norm_exps,
                                   char_fraction_of_rational, digits_of,
@@ -678,23 +679,24 @@ def test_kept_spectrum_gives_the_same_bits(field, n, exact):
 def test_transform_after_a_norm_is_new_and_writable(field, n, exact):
     g, _ = _grid_pair(field, n, exact, 33)
     sobolev_norm(g, 1)
-    kept = _spectrum(g)
-    assert _spectrum(g) is kept and not kept.values.flags.writeable
-    snapshot = kept.values.tobytes()
     gh = fourier_transform(g)
     assert gh.values.flags.writeable
-    assert gh.values.tobytes() == snapshot
-    for arr in (g.values, kept.values):
-        assert not np.shares_memory(gh.values, arr)
+    assert gh.values.tobytes() == fourier_transform(_copy(g)).values.tobytes()
+    assert not np.shares_memory(gh.values, g.values)
+    snapshot = _bits(g)
     gh.values[...] = 0
-    assert kept.values.tobytes() == snapshot
+    assert _bits(g) == snapshot
 
 
 @pytest.mark.parametrize("field", [Qp(3), LaurentFp(2)])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_write_after_a_norm_raises(field, n):
     g, _ = _grid_pair(field, n, False, 34)
+    # pairings keep nothing on the grid, so its values stay writable
     pairing(fourier_transform(g), g)
+    riesz_pairing([0.5] * n, g)
+    assert g.values.flags.writeable
+    sobolev_norm(g, 0)
     with pytest.raises(ValueError):
         g.values[...] = 1.0
     # a grid whose values are a view: its base array freezes as well
@@ -702,7 +704,7 @@ def test_write_after_a_norm_raises(field, n):
     base = np.random.default_rng(35).standard_normal(2 * math.prod(shape))
     v = GridFunction(field, n, 1, 1,
                      base.view(np.complex128).reshape(shape))
-    riesz_pairing([0.5] * n, v)
+    sobolev_norm(v, 0)
     before = base.tobytes()
     with pytest.raises(ValueError):
         base[0] = 1.0
@@ -715,16 +717,24 @@ def test_write_after_a_norm_raises(field, n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("exact", [False, True])
 def test_convolve_leaves_kept_spectra_alone(field, n, exact):
+    """convolve never writes into its operands: writable ones keep their
+    bits, and frozen ones (after a Sobolev norm) would raise."""
     f, g = _grid_pair(field, n, exact, 36)
     big = embed(g, 2, 1)
+
+    def convolve_all():
+        convolve(f, f)
+        convolve(f, big)
+        convolve(big, g)
+        convolve(embed(f, 1, 2), g)
+
+    before = [_bits(x) for x in (f, g, big)]
+    convolve_all()
+    assert [_bits(x) for x in (f, g, big)] == before
     for x in (f, g, big):
         sobolev_norm(x, 2)
-    kept = [_spectrum(x).values.tobytes() for x in (f, g, big)]
-    convolve(f, f)
-    convolve(f, big)
-    convolve(big, g)
-    convolve(embed(f, 1, 2), g)
-    assert [_spectrum(x).values.tobytes() for x in (f, g, big)] == kept
+    convolve_all()
+    assert [_bits(x) for x in (f, g, big)] == before
 
 
 @pytest.mark.parametrize("field", [Qp(3), LaurentFp(2)])
@@ -937,6 +947,18 @@ def test_evaluate_refuses_rationals_on_laurent_grid(c):
         g.evaluate([LocalFieldElement.zero(field), c])
 
 
+@pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(1, 27)])
+def test_restriction_refuses_rationals_on_laurent_grid(c):
+    # a rational far outside the dual ball is refused like one inside it
+    field = LaurentFp(3)
+    g = GridFunction.indicator_ball(field, 2, 0, L=1, m=1)
+    with pytest.raises(TypeError):
+        partial_fourier_restrict(g, [1], [c])
+    T = SpectralFunction(g, ())
+    with pytest.raises(TypeError):
+        spectral_space_value(T, [c, LocalFieldElement.zero(field)])
+
+
 def test_as_complex_matches_per_cell_conversion():
     rng = np.random.default_rng(21)
     vals = [Fraction(int(a), int(b)) for a, b in zip(
@@ -975,3 +997,11 @@ def test_indicator_ball_about_a_centre_matches_the_definition(field):
                                             center=[reps[ci], reps[cj]])
             want = np.outer(inside(reps[ci], r), inside(reps[cj], r))
             assert np.array_equal(g.values != 0, want)
+
+
+@pytest.mark.parametrize("field", [Qp(3), LaurentFp(3)])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_indicator_ball_needs_one_centre_coordinate_per_axis(field, k):
+    centre = [LocalFieldElement.zero(field)] * k
+    with pytest.raises(ValueError, match="center needs 2 coordinates"):
+        GridFunction.indicator_ball(field, 2, 0, center=centre)

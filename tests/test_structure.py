@@ -2,7 +2,8 @@
 
 Only ``localfield`` tells Q_p from F_p((T)); every other module asks the
 field layer (``FieldSpec.ops``).  No module reaches into another module's
-private names, apart from the two listed below.
+private names, and every name the package exports is used by the engine
+or the tests.
 """
 
 import ast
@@ -12,10 +13,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ultrazeta"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # (importing module, source module, private name) still allowed
-ALLOWED_PRIVATE = {("pdo", "grid", "_spectrum"),
-                   ("zeta", "ratfunc", "_solve_exact")}
+ALLOWED_PRIVATE = set()
 
 
 def _tree(path):
@@ -71,3 +72,27 @@ def test_the_allowed_private_imports_are_still_used():
     used = {(path.stem, src, name) for path in MODULES
             for src, name in _private_imports(path)}
     assert ALLOWED_PRIVATE <= used
+
+
+def _used_names(path):
+    """Every name ``path`` reads, as a variable or as an attribute."""
+    out = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _exports():
+    return [alias.asname or alias.name
+            for node in ast.walk(_tree(SRC / "__init__.py"))
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_every_export_is_used():
+    used = set().union(*(_used_names(path) for path in MODULES + TESTS
+                         if path != SRC / "__init__.py"))
+    unused = [name for name in _exports() if name not in used]
+    assert unused == [], f"__init__ exports names nothing uses: {unused}"
