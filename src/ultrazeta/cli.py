@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import fundsol as fundsol_mod
 from . import pdo, zeta
-from .errors import UltrazetaError
+from .errors import BudgetExceeded, UltrazetaError
 from .grid import GridFunction, fourier_transform, \
     inverse_fourier_transform, sobolev_norm_with_tail
 from .intpoly import parse_polynomial
@@ -127,9 +128,20 @@ def _field_from_args(args) -> FieldSpec:
     return FieldSpec(args.field_kind, args.p)
 
 
+#: a report prints each c_k, whose denominator divides q^{n(k+1)}, as a
+#: decimal Fraction; Python refuses to print integers past 4,300 digits
+_MAX_REPORT_DIGITS = 4000
+
+
 def cmd_zeta_igusa(args):
     field = _field_from_args(args)
     f = parse_polynomial(args.poly, args.n)
+    digits = f.n * (args.terms + 1) * math.log10(field.q)
+    if digits > _MAX_REPORT_DIGITS:
+        raise BudgetExceeded(
+            f"{args.terms} terms print denominators of up to "
+            f"{math.ceil(digits)} digits; the report allows "
+            f"{_MAX_REPORT_DIGITS}")
     series = zeta.igusa_series(f, field, args.terms, method=args.method)
     results = {"series": {"coefficients": list(series.coeffs),
                           "mode": args.method,

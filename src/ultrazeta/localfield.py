@@ -7,8 +7,9 @@ and additive-character values are exact rationals.
 Everything the other layers do differently on the two fields goes through
 ``FieldSpec.ops``, one small object per field kind (``_QpOps``,
 ``_LaurentOps``): axis tables, coordinates and characters of coset grids,
-the grid transform kernel, orders of integers and of polynomials at
-integer points, and point counts.  A point of R_K^n whose digits below
+the grid transform kernel, orders of integers, and the order kernel
+``poly_ords``, which gives the order of a polynomial, capped, at every
+point of an integer array at once.  A point of R_K^n whose digits below
 pi^k are known is a vector of integers on both fields: sum d_i p^i is the
 p-adic integer over Q_p and d_0 + d_1 T + ... over F_p((T)).
 """
@@ -17,13 +18,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import Inexact, UnsupportedPolynomial
 
@@ -606,11 +607,6 @@ def _axis_norm_exps(p: int, L: int, m: int):
     return out
 
 
-@lru_cache(maxsize=4096)
-def _padded_digits(c: int, p: int, width: int) -> tuple:
-    return tuple(digits_of(c, p, width))
-
-
 @lru_cache(maxsize=None)
 def _field_ops(field):
     return (_QpOps if field.kind == "Qp" else _LaurentOps)(field)
@@ -659,10 +655,20 @@ class _QpOps(_FieldOps):
         """Order of the integer c in Q_p: v_p(c), None at 0."""
         return p_adic_ord(self.p, c)
 
-    def poly_ord(self, f, point, cap: int):
-        """ord f(point) at an integer point, None from cap on; f is
-        evaluated mod p^cap, which keeps the integers small."""
-        return p_adic_ord(self.p, f.eval_int(point, self.p ** cap), cap)
+    def poly_ords(self, f, points, cap: int) -> np.ndarray:
+        """ord f(x), capped at cap, at every column x of the (n, N) integer
+        array ``points``: f evaluated mod p^cap, on int64 residues while
+        p^cap <= _INT64_MODULUS and on Python ints past it."""
+        p = self.p
+        M = p ** cap
+        x = np.asarray(points)
+        if M > _INT64_MODULUS:
+            x = x.astype(object) % M
+        elif x.dtype == object:
+            x = (x % M).astype(np.int64)
+        elif x.size and (x.min() < 0 or x.max() >= M):
+            x = _mod(x, M)
+        return _residue_ords(_poly_residues(f, x, M), p, cap)
 
     def _read_rational(self, c, width):
         # precision width reaches the grid resolution inside B_L
@@ -736,55 +742,87 @@ class _QpOps(_FieldOps):
         v = p_adic_ord(self.p, acc)
         return None if v is None else v - shift
 
-    def zero_counts(self, f, K: int):
-        """counts[k] = #{x mod p^{K+1} : f(x) == 0 mod p^k}, k = 0..K+1,
-        from numpy residues mod p^{K+1}, one slab per first coordinate."""
-        q, n = self.p, f.n
-        M = q ** (K + 1)
-        counts = [0] * (K + 2)
-        counts[0] = M ** n
-        if n == 1:
-            fv = _eval_poly_mod_np(f, [np.arange(M, dtype=np.int64)], M)
-            for k in range(1, K + 2):
-                counts[k] = int(np.count_nonzero(fv % q ** k == 0))
-            return counts
-        rest = M ** (n - 1)
-        base = np.empty((rest, n - 1), dtype=np.int64)
-        tmp = np.arange(rest, dtype=np.int64)
-        for j in range(n - 1):
-            base[:, j] = tmp % M
-            tmp //= M
 
-        def slab(x0):
-            cols = [np.full(rest, x0, dtype=np.int64)] + \
-                [base[:, j] for j in range(n - 1)]
-            fv = _eval_poly_mod_np(f, cols, M)
-            return [int(np.count_nonzero(fv % q ** k == 0))
-                    for k in range(1, K + 2)]
-
-        workers = int(os.environ.get("ULTRAZETA_THREADS", "1"))
-        if workers > 1:
-            # in-order reduction keeps the result schedule-independent
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                slabs = list(pool.map(slab, range(M)))
-        else:
-            slabs = [slab(x0) for x0 in range(M)]
-        for row in slabs:
-            for k in range(1, K + 2):
-                counts[k] += row[k - 1]
-        return counts
+#: Q_p residues mod M are int64 up to this modulus: a product of two is
+#: below 2^62, so it can be reduced before anything can wrap
+_INT64_MODULUS = 2 ** 31
 
 
-def _eval_poly_mod_np(f, cols, M):
-    acc = np.zeros(cols[0].shape, dtype=np.int64)
-    for exps, c in f.terms:
-        t = np.full(cols[0].shape, c % M, dtype=np.int64)
-        for x, e in zip(cols, exps):
-            for _ in range(e):
-                t = (t * x) % M
-        acc = (acc + t) % M
-    return acc
+def _poly_residues(f, x, M):
+    """f(x) mod M at every column of x, an (n, N) array of residues mod M.
+
+    Every product is reduced mod M, unless no term of f, times its
+    coefficient and summed over the terms, can reach 2^63 before the one
+    reduction at the end.
+    """
+    lazy = x.dtype != object and \
+        len(f.terms) * M ** (f.degree() + 1) < 2 ** 63
+    mul = (lambda a, b: a * b) if lazy else (lambda a, b: _mod(a * b, M))
+    acc = np.zeros(x.shape[1], x.dtype)
+    for c, t in _monomials(f.terms, x, mul):
+        c %= M
+        acc += c if t is None else t if c == 1 else mul(c, t)
+    return _mod(acc, M)
+
+
+def _mod(a, M):
+    """a mod M as a - (a // M) M, which numpy runs about twice as fast as
+    % on int64."""
+    r = a // M
+    r *= M
+    return a - r
+
+
+def _monomials(terms, coords, mul):
+    """(c, x^e) for every term c x^e, with x^e None for the constant term:
+    products by ``mul``, each power of a coordinate built once, from the
+    one below it."""
+    powers = [[x] for x in coords]  # powers[i][e - 1] = x_i^e
+    for exps, c in terms:
+        t = None
+        for pw, e in zip(powers, exps):
+            if e:
+                while len(pw) < e:
+                    pw.append(mul(pw[-1], pw[0]))
+                t = pw[e - 1] if t is None else mul(t, pw[e - 1])
+        yield c, t
+
+
+def _residue_ords(v, p, cap):
+    """ord_p of every residue v mod p^cap, with cap at 0: the low c digits
+    give the order by a table lookup, and only the residues whose low c
+    digits all vanish go on to the next c digits."""
+    c = 1
+    while c < cap and p ** (c + 1) <= _ORD_TABLE_SIZE:
+        c += 1
+    low = v if c == cap else _mod(v, p ** c)
+    if low.dtype == object:
+        low = low.astype(np.int64)
+    ords = (_ord_table(p, c)[low] if p ** c <= _ORD_TABLE_SIZE
+            else low == 0).astype(np.int64)  # c = 1: the table of 0 and 1
+    if c < cap:
+        deep = np.flatnonzero(low == 0)
+        if len(deep):
+            ords[deep] += _residue_ords(v[deep] // p ** c, p, cap - c)
+    return ords
+
+
+# the residue-order table of _residue_ords has at most this many entries
+_ORD_TABLE_SIZE = 2 ** 16
+
+
+@lru_cache(maxsize=None)
+def _ord_table(p: int, c: int) -> np.ndarray:
+    """ord_p of every residue mod p^c, with c at 0 (c <= 16)."""
+    r = np.arange(p ** c, dtype=np.int64)
+    out = np.zeros(p ** c, np.int8)
+    out[0] = c
+    pk = p
+    for _ in range(1, c):
+        out[1:] += r[1:] % pk == 0
+        pk *= p
+    out.setflags(write=False)
+    return out
 
 
 class _LaurentOps(_FieldOps):
@@ -797,15 +835,39 @@ class _LaurentOps(_FieldOps):
         when p divides c."""
         return 0 if c % self.p else None
 
-    def poly_ord(self, f, point, cap: int):
-        """ord f(point) at a point of digit-encoded integers, None from cap
-        on: f evaluated over F_p[T] / T^cap."""
+    def poly_ords(self, f, points, cap: int) -> np.ndarray:
+        """ord f(x), capped at cap, at every column x of the (n, N) array
+        ``points`` of digit-encoded integers: f evaluated over
+        F_p[T] / T^cap on digit arrays, one row per power of T.  Points
+        are taken _BLOCK_CELLS // cap at a time, which bounds every array
+        the products build."""
         p = self.p
-        fv = f.eval_fpt([_padded_digits(c, p, cap) for c in point], p, cap)
-        for i, d in enumerate(fv):
-            if d:
-                return i
-        return None
+        x = np.asarray(points)
+        step = max(1, _BLOCK_CELLS // cap)
+        if x.shape[1] > step:
+            return np.concatenate([
+                self.poly_ords(f, x[:, lo:lo + step], cap)
+                for lo in range(0, x.shape[1], step)])
+        terms = [(e, c % p) for e, c in f.terms if c % p]
+        # a digit product of degree d sums at most cap^(d-1) (p-1)^d: reduce
+        # mod p only where the sum over the terms could pass 2^63
+        deg = f.degree()
+        lazy = len(terms) * cap ** deg * (p - 1) ** (deg + 1) < 2 ** 63
+        dt = np.int64 if lazy or len(terms) * cap * (p - 1) ** 2 < 2 ** 63 \
+            else object
+        conv = (lambda a, b: _trunc_mul(a, b, cap)) if lazy \
+            else (lambda a, b: _mod(_trunc_mul(a, b, cap), p))
+        # row cap is a unit that no term reaches: the first nonzero row
+        # of every column is its capped order
+        acc = np.zeros((cap + 1, x.shape[1]), dt)
+        acc[cap] = 1
+        digits = _digit_rows(x, p, cap).astype(dt, copy=False)
+        for c, t in _monomials(terms, digits, conv):
+            if t is None:
+                acc[0] += c
+            else:
+                acc[:len(t)] += t if c == 1 else c * t
+        return (acc % p != 0).argmax(axis=0)
 
     def _read_rational(self, c, width):
         raise TypeError("plain rationals only index Q_p grids")
@@ -882,21 +944,41 @@ class _LaurentOps(_FieldOps):
         raise UnsupportedPolynomial(
             "general polynomial symbols are implemented over Q_p")
 
-    def zero_counts(self, f, K: int):
-        """counts[k] = #{x mod T^{K+1} : ord f(x) >= k}, k = 0..K+1, point
-        by point."""
-        p, n, width = self.p, f.n, K + 1
-        M = p ** width
-        counts = [M ** n] + [0] * (K + 1)
-        for flat in range(M ** n):
-            point, rem = [], flat
-            for _ in range(n):
-                rem, c = divmod(rem, M)
-                point.append(c)
-            lead = self.poly_ord(f, point, width)
-            for k in range(1, (width if lead is None else lead) + 1):
-                counts[k] += 1
-        return counts
+
+# the F_p((T)) order kernel takes at most this many points times cap at once
+_BLOCK_CELLS = 2 ** 13
+
+
+def _digit_rows(x, p, cap):
+    """digits[i, t] = the digit at T^t of every x[i], t below cap and below
+    the top digit of max x (at least one row)."""
+    top = int(x.max()) if x.size else 0
+    rows = 1
+    while rows < cap and p ** rows <= top:
+        rows += 1
+    return x[:, None, :] // _place_values(p, rows)[:, None] % p
+
+
+@lru_cache(maxsize=None)
+def _place_values(p: int, rows: int) -> np.ndarray:
+    """p^t for t below rows, in Python ints once p^(rows-1) passes int64."""
+    return np.array([p ** t for t in range(rows)],
+                    dtype=object if p ** (rows - 1) >= 2 ** 63 else np.int64)
+
+
+def _trunc_mul(a, b, cap):
+    """a * b mod T^cap for digit arrays a, b (rows = powers of T), with no
+    reduction of the digits: out[k] = sum_i a[i] b[k - i], one einsum over
+    the windows of b, zero-padded above, read backwards."""
+    ra = len(a)
+    rows = min(cap, ra + len(b) - 1)
+    pad = np.zeros((rows + ra - 1, a.shape[1]), a.dtype)
+    pad[ra - 1:ra - 1 + min(len(b), rows)] = b[:rows]
+    s0, s1 = pad.strides
+    # windows[k, i'] = pad[k + i'] = b[k - (ra - 1 - i')]
+    windows = as_strided(pad, (rows, ra, a.shape[1]), (s0, s0, s1),
+                         writeable=False)
+    return np.einsum("kin,in->kn", windows, a[::-1])
 
 
 # F_p^{tensor c} runs fastest on one BLAS thread for p^c <= 16

@@ -2,9 +2,10 @@
 monomial forms, strongly non-degenerate forms, elementary and mixed
 integrals, pole prediction, and the heat-kernel evaluator.
 
-The series engine counts residues mod p^{k+1} with early pruning and two
-closure rules that keep desk-scale depths reachable: unit-gradient cells
-close with a geometric valuation tail (the pushforward of Haar measure
+The series engine counts residues mod p^{k+1} with early pruning, a
+level at a time through the field layer's order kernel, and two closure
+rules that keep desk-scale depths reachable: unit-gradient cells close
+with a geometric valuation tail (the pushforward of Haar measure
 under a submersion is Haar), and for weighted (quasi-homogeneous) f the
 box prod pi^{w_i} R_K closes by self-similarity
 f(pi^{w_1} x_1, ..., pi^{w_n} x_n) = pi^d f(x), which adds q^{-|w|} t^d Z,
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,79 +106,139 @@ def _igusa_monomial(f, field, K):
     return ([Fraction(0)] * vc + dist)[:K + 1]
 
 
+# points or children per call of the order kernel: keeps every array the
+# counter and the lift build at 64 KiB of int64
+_BLOCK = 2 ** 13
+
+
 def _igusa_brute(f, field, K, budget):
-    q = field.q
-    n = f.n
+    """Histogram of ord f, capped at K + 1, over the residues mod
+    pi^{K+1}.
+
+    The points are counted in blocks of q^s <= _BLOCK consecutive flat
+    indices (first coordinate slowest): a block's start has s zero base-q
+    digits at the bottom, so its coordinates are those of the start plus
+    one fixed offset table, with no carry.  With w = ULTRAZETA_THREADS > 1
+    threads, thread i counts every w-th block from block i, and the w
+    histograms are summed in thread order.
+    """
+    q, n = field.q, f.n
     M = q ** (K + 1)
-    if M ** n > budget:
-        raise BudgetExceeded(f"brute enumeration needs {M ** n} points")
-    # counts[k] = #{x mod pi^{K+1} : ord f(x) >= k}
-    counts = field.ops.zero_counts(f, K)
+    points = M ** n
+    if points > budget:
+        raise BudgetExceeded(f"brute enumeration needs {points} points")
+    size = 1
+    while size * q <= min(_BLOCK, points):
+        size *= q
+    place = [M ** (n - 1 - i) for i in range(n)]
+    offsets = np.arange(size, dtype=np.int64)
+    offsets = np.stack([offsets // pl % M for pl in place])
+
+    def block(start):
+        at = np.array([start // pl % M for pl in place], np.int64)
+        return np.bincount(field.ops.poly_ords(f, offsets + at[:, None],
+                                               K + 1), minlength=K + 2)
+
+    def share(starts):
+        return sum(map(block, starts))
+
+    starts = range(0, points, size)
+    workers = int(os.environ.get("ULTRAZETA_THREADS", "1"))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = sum(pool.map(share, [starts[i::workers]
+                                          for i in range(workers)]))
+    else:
+        counts = share(starts)
+    # counts[k] = #{x mod pi^{K+1} : ord f(x) = k}, ord K + 1 for >= K + 1
     total = Fraction(q) ** (-n * (K + 1))
-    out = []
-    for k in range(K + 1):
-        out.append((counts[k] - counts[k + 1]) * total)
-    return out
+    return [int(c) * total for c in counts[:K + 1]]
 
 
 def _igusa_lift(f, field, K, budget):
     q = field.q
     n = f.n
-    base = [Fraction(0)] * (K + 1)
+    # base[k] * q^E, on one denominator q^E that every closure divides
+    E = n * (K + 1) + K + 1
+    base = [0] * (K + 1)
     weights = _self_similarity_weights(f)
     if weights is not None:
         w, wdeg = weights
         wtop = max(w)
-    grads = f.gradient()
+    grads = [g for g in f.gradient() if not g.is_zero]
     ops = field.ops
     spent = 0
-    # a cell is the integer vector of its known digits (see localfield)
-    open_cells = [(0,) * n]
-    qfr = Fraction(q)
+    # a cell is the integer vector of its known digits (see localfield),
+    # one column per open cell; a child adds one digit to every coordinate
+    open_cells = np.zeros((n, 1), np.int64)
+    per_chunk = max(1, _BLOCK // q ** n)
     for k in range(K + 1):
+        if not open_cells.shape[1]:
+            break  # every cell is closed: the deeper levels add nothing
         # digits of each coordinate that vanish on the box prod pi^{w_i} R_K
         box = None
         if weights is not None and k < wtop:
             box = tuple(min(wi, k + 1) for wi in w)
-        new_open = []
-        survivors = 0
         # every child of every open cell is visited: check before any is
-        total_children = len(open_cells) * q ** n
+        total_children = open_cells.shape[1] * q ** n
         spent += total_children
         if spent > budget:
             raise BudgetExceeded(
                 f"lifting budget exhausted at level {k + 1}")
-        for cell in open_cells:
-            for child in _cell_children(cell, q, k):
-                if ops.poly_ord(f, child, k + 1) is not None:
-                    continue  # f does not vanish mod pi^{k+1} on the cell
-                survivors += 1
-                if box is not None and _meets_box(q, child, box):
-                    if k + 1 == wtop:
-                        continue  # inside the box: repaid afterwards
-                    # straddles the box: a closure would count it twice
-                    new_open.append(child)
-                    continue
-                closure = _cell_closure(f, grads, ops, child, k + 1)
-                if closure is None:
-                    new_open.append(child)
-                    continue
-                kind, lvl = closure
-                if kind == "const":
-                    # |f| is constant on the whole cell
-                    if lvl <= K:
-                        base[lvl] += qfr ** (-n * (k + 1))
-                    continue
-                # uniform pushforward: geometric tail from level lvl
-                wt = qfr ** (-n * (k + 1)) * (1 - 1 / qfr)
-                for j in range(lvl, K + 1):
-                    base[j] += wt * qfr ** (-(j - lvl))
-        base[k] += (total_children - survivors) * qfr ** (-n * (k + 1))
-        open_cells = new_open
+        if k == 0:  # the q^n digit vectors, now known to fit the budget
+            digits = np.indices((q,) * n).reshape(n, -1)
+        if q ** (k + 1) >= 2 ** 63:  # children past int64: Python ints
+            open_cells = open_cells.astype(object)
+            digits = digits.astype(object)
+        survivors = 0
+        # const[l]: closed cells on which ord f = l; tail[l]: closed cells
+        # whose ord f is uniformly distributed from l on (l < 2(k + 1))
+        const = np.zeros(2 * k + 2, np.int64)
+        tail = np.zeros(2 * k + 2, np.int64)
+        new_open = []
+        for lo in range(0, open_cells.shape[1], per_chunk):
+            cells = open_cells[:, lo:lo + per_chunk]
+            kids = (cells[:, :, None] + digits[:, None, :] * q ** k
+                    ).reshape(n, -1)
+            # f does not vanish mod pi^{k+1} on a cell whose order is below
+            kids = kids[:, ops.poly_ords(f, kids, k + 1) == k + 1]
+            survivors += kids.shape[1]
+            keep = np.zeros(kids.shape[1], bool)
+            rest = np.ones(kids.shape[1], bool)
+            if box is not None:
+                inside = np.logical_and.reduce(
+                    [kids[i] % q ** b == 0 for i, b in enumerate(box)])
+                # inside the box at its last level: repaid afterwards;
+                # straddling it: a closure would count it twice
+                keep |= inside & (k + 1 < wtop)
+                rest &= ~inside
+            if rest.any():
+                e, lvl = _cell_closures(f, grads, ops, kids[:, rest], k + 1)
+                closes = e < k + 1
+                tails = closes & (lvl == k + 1 + e)
+                const += np.bincount(lvl[closes & ~tails],
+                                     minlength=len(const))
+                tail += np.bincount(lvl[tails], minlength=len(tail))
+                keep[rest] = ~closes
+            new_open.append(kids[:, keep])
+        # a cell of level k + 1 has measure q^{-n(k+1)}
+        wk = q ** (E - n * (k + 1))
+        base[k] += (total_children - survivors) * wk
+        for lvl in np.flatnonzero(const[:K + 1]).tolist():
+            base[lvl] += int(const[lvl]) * wk
+        for lvl in np.flatnonzero(tail[:K + 1]).tolist():
+            # uniform pushforward: (1 - 1/q) q^{-(j - lvl)} from level lvl
+            wt = int(tail[lvl]) * (q - 1) * wk // q
+            for j in range(lvl, K + 1):
+                base[j] += wt
+                wt //= q
+        open_cells = np.concatenate(new_open, axis=1)
+    denom = Fraction(1, q ** E)
+    out = [c * denom for c in base]
     if weights is None:
-        return base
+        return out
     # the box: f(pi^w x) = pi^d f(x) gives c_k += q^{-|w|} c_{k-d}
-    out = list(base)
+    qfr = Fraction(q)
     for j in range(wdeg, K + 1):
         out[j] += qfr ** (-sum(w)) * out[j - wdeg]
     return out
@@ -219,41 +282,25 @@ def _self_similarity_weights(f):
     return w, d
 
 
-def _cell_children(cell, q, level):
-    step = q ** level
-    for off in np.ndindex(*(q,) * len(cell)):
-        yield tuple(c + int(d) * step for c, d in zip(cell, off))
+def _cell_closures(f, grads, ops, cells, M):
+    """Hensel-style closure of the survivor cells x + B_{-M}^n, one column
+    of ``cells`` each: (e, lvl), with e = ord grad f at the canonical
+    representative capped at M, and lvl = ord f there capped at M + e.
 
-
-def _meets_box(q, point, widths):
-    """Whether the leading widths[i] digits of every coordinate vanish."""
-    return all(c % q ** wi == 0 for c, wi in zip(point, widths))
-
-
-def _cell_closure(f, grads, ops, point, M):
-    """Hensel-style closure of the survivor cell point + B_{-M}^n.
-
-    With e = ord grad f at the canonical representative and e < M, every
-    higher-order Hasse term sits strictly below the linear scale
-    q^{-(M+e)}, so |f| is constant at ord f(rep) when that beats M+e
-    ('const'), and otherwise ord f is uniformly distributed from M+e on
-    ('tail', M+e): the linear map pushes Haar measure onto a coset.
+    When e < M, every higher-order Hasse term sits strictly below the
+    linear scale q^{-(M+e)}, so |f| = q^{-lvl} on the whole cell when
+    lvl < M + e, and otherwise ord f is uniformly distributed from M + e
+    on: the linear map pushes Haar measure onto a coset.  A cell with
+    e = M does not close.
     """
-    e = None
+    e = np.full(cells.shape[1], M, np.int64)
     for g in grads:
-        if g.is_zero:
-            continue
-        og = ops.poly_ord(g, point, M)
-        if og is not None:
-            e = og if e is None else min(e, og)
-            if e == 0:
-                break
-    if e is None:  # ord grad f >= M: no closure
-        return None
-    of = ops.poly_ord(f, point, M + e)
-    if of is not None:
-        return "const", of
-    return "tail", M + e
+        e = np.minimum(e, ops.poly_ords(g, cells, M))
+    lvl = np.zeros_like(e)
+    for ev in np.flatnonzero(np.bincount(e[e < M])).tolist():
+        at = e == ev
+        lvl[at] = ops.poly_ords(f, cells[:, at], M + ev)
+    return e, lvl
 
 
 # -- closed forms -------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -466,3 +467,37 @@ def test_poles_depth_over_budget_exits_one(capsys):
     assert rc == 1, err
     assert err.startswith("ultrazeta: BudgetExceeded: ")
     assert err.count("\n") == 1
+
+
+def test_igusa_terms_past_the_report_digits_exit_one(capsys, tmp_path):
+    # c_k has a denominator of up to 2 (terms + 1) log10(3) digits, which
+    # passes 4,000 at 4,191 terms: refused before any coefficient is
+    # computed, not after, when the report cannot print its Fractions
+    start = time.perf_counter()
+    rc = main(["zeta", "igusa", "--n", "2", "--poly", "x1*x2",
+               "--terms", "20000"])
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("ultrazeta: BudgetExceeded: ")
+    assert err.count("\n") == 1
+    assert main(["zeta", "igusa", "--n", "2", "--poly", "x1*x2",
+                 "--terms", "4191"]) == 1
+    capsys.readouterr()
+    # the largest accepted size prints every coefficient
+    report = tmp_path / "r.json"
+    assert main(["--report", str(report), "zeta", "igusa", "--n", "2",
+                 "--poly", "x1*x2", "--terms", "4190"]) == 0
+    coeffs = json.loads(report.read_text())["results"]["series"][
+        "coefficients"]
+    assert len(coeffs) == 4191
+    assert Fraction(coeffs[-1]) > 0
+
+
+def test_fundsol_division_walk_over_budget_exits_one(capsys):
+    # n = 4 over Q_3 would walk 80^4 cells of element arithmetic
+    rc = main(["fundsol", "--poly", "x1*x2*x3*x4", "--n", "4", "--p", "3"])
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("ultrazeta: BudgetExceeded: ")
+    assert "40960000 cells" in err

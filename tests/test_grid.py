@@ -633,10 +633,10 @@ def test_axis_char_weights_match_per_index_definition(field, L, m):
                 field, L - 2, [1]), g.L, g.m)
 
 
-# -- the kept spectrum --------------------------------------------------------
+# -- a grid a norm has frozen, against a fresh copy --------------------------
 
 def _copy(g):
-    """g on a new array, with no kept spectrum."""
+    """g on a new, writable array that no norm has seen."""
     return GridFunction(g.field, g.n, g.L, g.m, g.values.copy())
 
 
@@ -655,6 +655,8 @@ def _grid_pair(field, n, exact, seed):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("exact", [False, True])
 def test_kept_spectrum_gives_the_same_bits(field, n, exact):
+    """Norms, pairings and convolve give the same bits on a grid that a
+    Sobolev norm has frozen as on a fresh copy of it."""
     g, h = _grid_pair(field, n, exact, 31)
     T = fourier_transform(random_grid(field, n, 1, 1,
                                       np.random.default_rng(32)))

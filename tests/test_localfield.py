@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ultrazeta.errors import Inexact
+from ultrazeta.intpoly import IntPolynomial
 from ultrazeta.localfield import (FieldVector, LaurentFp,
                                   LocalFieldElement, Qp, ball_measure,
                                   char_fraction, char_fraction_of_rational,
-                                  field_arith, sphere_measure,
+                                  digits_of, field_arith, sphere_measure,
                                   valuation_and_norm)
 from ultrazeta.localfield import (_PRIME_TEST_BOUND, FieldSpec, _is_prime,
                                   _max_valuation)
@@ -453,3 +455,91 @@ def test_laurent_arithmetic_matches_digit_reference(elems):
                              lambda u, w: _ref_fpt_add(u, _ref_fpt_neg(w))),
                             (LocalFieldElement.__truediv__, _ref_fpt_div)):
                 assert _fpt_outcome(op, x, y) == ref(x, y)
+
+
+# -- the polynomial-order kernel ------------------------------------------------
+
+def _scalar_ord(f, field, point, cap):
+    """ord f(point) capped at cap, from the scalar evaluators."""
+    p = field.p
+    if field.kind == "Qp":
+        v = f.eval_int(point, p ** cap)
+        k = 0
+        while k < cap and v % p ** (k + 1) == 0:
+            k += 1
+        return k
+    digits = [tuple(digits_of(c, p, cap)) for c in point]
+    lead = [i for i, d in enumerate(f.eval_fpt(digits, p, cap)) if d]
+    return lead[0] if lead else cap
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(f, field, points, cap): f in 1-3 variables of degree <= 9 with
+    coefficients up to 2^70, p^cap up to 2^70 and points up to
+    p^(cap + 2), so both the int64 and the Python-int paths run
+    (2^31 - 1 and 2^61 - 1 are prime)."""
+    kind = draw(st.sampled_from(["Qp", "LaurentFp"]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 2 ** 31 - 1, 2 ** 61 - 1]))
+    field = FieldSpec(kind, p)
+    n = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1,
+                         max_size=4, unique=True))
+    coeff = st.integers(-2 ** 70, 2 ** 70).filter(bool) | \
+        st.integers(-9, 9).filter(bool)
+    f = IntPolynomial.make(n, {e: draw(coeff) for e in exps})
+    cap = draw(st.integers(1, max(1, 70 // (p.bit_length() - 1))))
+    low = -p ** (cap + 2) if kind == "Qp" else 0
+    points = draw(st.lists(st.tuples(*[st.integers(low, p ** (cap + 2))] * n),
+                           min_size=1, max_size=12))
+    return f, field, points, cap
+
+
+def _int_array(points):
+    """The (n, N) array of the points: int64 when every coordinate fits,
+    Python ints otherwise."""
+    fits = all(-2 ** 63 <= c < 2 ** 63 for pt in points for c in pt)
+    return np.array(points, dtype=np.int64 if fits else object).T
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_kernel_cases())
+def test_poly_ords_matches_the_scalar_evaluators(case):
+    f, field, points, cap = case
+    got = field.ops.poly_ords(f, _int_array(points), cap)
+    assert got.tolist() == [_scalar_ord(f, field, pt, cap) for pt in points]
+
+
+@pytest.mark.parametrize("kind", ["Qp", "LaurentFp"])
+@pytest.mark.parametrize("p", [3, 7, 65537, 2 ** 31 - 1, 2 ** 61 - 1])
+def test_poly_ords_at_the_int64_bounds(kind, p):
+    # caps on both sides of the largest p^cap that keeps Q_p residues in
+    # int64, with products that pass 2^63 unless they are reduced; f
+    # vanishes at a point a < p, and x = a + p^j r has ord f(x) >= j, so
+    # the orders reach up to the cap and a wrong digit shows
+    field = FieldSpec(kind, p)
+    rng = np.random.default_rng(p)
+    a = [int(v) for v in rng.integers(0, p, 3)]
+    h = {(3, 2, 1): 2 ** 40 + 1, (0, 4, 0): -7, (1, 0, 0): 5}
+    h[0, 0, 0] = -IntPolynomial.make(3, h).eval_int(a)
+    f = IntPolynomial.make(3, h)
+    top = 1
+    while p ** (top + 1) <= 2 ** 31:
+        top += 1
+    for cap in (top, top + 1):
+        points = [tuple(ai + p ** int(j) * int(r) for ai, r in zip(a, row))
+                  for j, row in zip(rng.integers(0, cap + 1, 300),
+                                    rng.integers(0, 2 ** 62, (300, 3)))]
+        got = field.ops.poly_ords(f, _int_array(points), cap)
+        want = [_scalar_ord(f, field, pt, cap) for pt in points]
+        assert got.tolist() == want
+        assert len(set(want)) > min(cap, 3)
+
+
+@pytest.mark.parametrize("field", [Qp(2), LaurentFp(2)], ids=["Q2", "F2T"])
+def test_poly_ords_past_int64(field):
+    # modulus 2^64 and points past 2^63: Python ints, not wrapped int64
+    f = IntPolynomial.make(2, {(1, 1): 1, (0, 2): 3})
+    points = [(2 ** 63 + 5, 2 ** 40), (2 ** 32, 2 ** 31), (0, 2 ** 64 - 1)]
+    got = field.ops.poly_ords(f, _int_array(points), 64)
+    assert got.tolist() == [_scalar_ord(f, field, pt, 64) for pt in points]

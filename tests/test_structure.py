@@ -3,10 +3,13 @@
 Only ``localfield`` tells Q_p from F_p((T)); every other module asks the
 field layer (``FieldSpec.ops``).  No module reaches into another module's
 private names, and every name the package exports is used by the engine
-or the tests.
+or the tests.  The benchmark's span tracer finds every entry point it
+wraps.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,32 @@ def test_every_export_is_used():
                          if path != SRC / "__init__.py"))
     unused = [name for name in _exports() if name not in used]
     assert unused == [], f"__init__ exports names nothing uses: {unused}"
+
+
+def _benchmark_tracer():
+    """perfbench/tracer.py as a module, read and compiled in memory so
+    that nothing is written under perfbench/."""
+    path = SRC.parent.parent / "perfbench" / "tracer.py"
+    mod = types.ModuleType("perfbench_tracer")
+    mod.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod
+
+
+def test_the_benchmark_tracer_resolves_every_entry_point():
+    # a rename that leaves a name of ENTRY_POINTS unresolved fails here,
+    # not in the benchmark's traced run
+    import ultrazeta
+    bench = _benchmark_tracer()
+    modules = [ultrazeta] + [importlib.import_module(f"ultrazeta.{name}")
+                             for name in bench.LAYERS]
+    before = [dict(vars(mod)) for mod in modules]
+    tracer = bench.Tracer()
+    tracer.install(ultrazeta)
+    try:
+        assert tracer._patched
+    finally:
+        tracer.uninstall()
+    for mod, names in zip(modules, before):
+        assert vars(mod).keys() == names.keys()
+        assert all(vars(mod)[k] is v for k, v in names.items()), mod

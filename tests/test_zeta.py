@@ -215,9 +215,8 @@ def _lift_cases(draw):
         weighted = tuple(x // g for x in w), \
             (w[0] * exps[0][0] + w[1] * exps[0][1]) // g
     # brute force enumerates q^{n(K+1)} points
-    limit = 10 ** 5 if kind == "Qp" else 2 * 10 ** 4
     kmax = 0
-    while p ** (n * (kmax + 2)) <= limit:
+    while p ** (n * (kmax + 2)) <= 10 ** 5:
         kmax += 1
     return f, field, draw(st.integers(0, kmax)), weighted
 
@@ -322,6 +321,38 @@ def test_weighted_closure_keeps_lift_small():
     with pytest.raises(BudgetExceeded, match="level"):
         igusa_series(parse_polynomial("x1^2*x2", 2), F3, 10,
                      method="lift", budget=10_000)
+
+
+@pytest.mark.parametrize("field", [F3, LaurentFp(3)], ids=["Q3", "F3T"])
+@pytest.mark.parametrize("threads", ["3", "40"])
+def test_brute_counts_do_not_depend_on_threads(monkeypatch, field, threads):
+    # 9 blocks of 3^8 points: 40 threads leave most of them without one
+    f = parse_polynomial("x1^2+x1*x2+x2^3", 2)
+    one = igusa_series(f, field, 4, method="brute")
+    monkeypatch.setenv("ULTRAZETA_THREADS", threads)
+    assert igusa_series(f, field, 4, method="brute") == one
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lift_past_int64_cells(p):
+    # one open cell a level: from level 40 (p = 3) or 63 (p = 2) on its
+    # children pass 2^63 and are Python ints; this f has the same series
+    # over Q_p and F_p((T)), and the deep series extends the short one
+    f = parse_polynomial("x1^2+x1*x2+x2^3", 2)
+    deep = igusa_series(f, Qp(p), 70, method="lift")
+    assert deep == igusa_series(f, LaurentFp(p), 70, method="lift")
+    assert deep.coeffs[:21] == igusa_series(f, Qp(p), 20,
+                                            method="lift").coeffs
+
+
+def test_lift_budget_stops_before_the_level_that_passes_it():
+    # the whole frontier of a level is charged before any child of it is
+    # evaluated, so the level and the message do not depend on the order
+    # in which the children are visited
+    with pytest.raises(BudgetExceeded) as err:
+        igusa_series(parse_polynomial("x1^2*x2", 2), F3, 10,
+                     method="lift", budget=10_000)
+    assert str(err.value) == "lifting budget exhausted at level 8"
 
 
 def test_monomial_closed_examples():
