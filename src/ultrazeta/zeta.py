@@ -115,8 +115,9 @@ def _igusa_brute(f, field, K, budget):
     """Histogram of ord f, capped at K + 1, over the residues mod
     pi^{K+1}.
 
-    The points are counted in blocks of q^s <= _BLOCK consecutive flat
-    indices (first coordinate slowest): a block's start has s zero base-q
+    The points are counted in blocks of q^s consecutive flat indices
+    (first coordinate slowest), s >= 1 and q^s <= _BLOCK unless q is
+    larger than _BLOCK itself: a block's start has s zero base-q
     digits at the bottom, so its coordinates are those of the start plus
     one fixed offset table, with no carry.  With w = ULTRAZETA_THREADS > 1
     threads, thread i counts every w-th block from block i, and the w
@@ -127,7 +128,7 @@ def _igusa_brute(f, field, K, budget):
     points = M ** n
     if points > budget:
         raise BudgetExceeded(f"brute enumeration needs {points} points")
-    size = 1
+    size = q  # past _BLOCK only when q is: one block per residue digit
     while size * q <= min(_BLOCK, points):
         size *= q
     place = [M ** (n - 1 - i) for i in range(n)]

@@ -345,6 +345,14 @@ def test_lift_past_int64_cells(p):
                                             method="lift").coeffs
 
 
+@pytest.mark.parametrize("p", [10007, 1000003])
+def test_brute_counts_at_a_large_prime(p):
+    # q^n(K+1) = p points: one block of p points, not p blocks of one
+    s = igusa_series(parse_polynomial("x1^2-1", 1), Qp(p), 0,
+                     method="brute")
+    assert s.coeffs == (Fraction(p - 2, p),)
+
+
 def test_lift_budget_stops_before_the_level_that_passes_it():
     # the whole frontier of a level is charged before any child of it is
     # evaluated, so the level and the message do not depend on the order
