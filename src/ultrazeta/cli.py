@@ -24,8 +24,8 @@ from .errors import BudgetExceeded, UltrazetaError
 from .grid import GridFunction, fourier_transform, \
     inverse_fourier_transform, sobolev_norm_with_tail
 from .intpoly import parse_polynomial
-from .localfield import FieldSpec, LocalFieldElement, char_fraction, \
-    field_arith, valuation_and_norm
+from .localfield import MAX_PRINT_DIGITS, FieldSpec, LocalFieldElement, \
+    char_fraction, field_arith, valuation_and_norm
 
 
 def _json_default(obj):
@@ -128,20 +128,17 @@ def _field_from_args(args) -> FieldSpec:
     return FieldSpec(args.field_kind, args.p)
 
 
-#: a report prints each c_k, whose denominator divides q^{n(k+1)}, as a
-#: decimal Fraction; Python refuses to print integers past 4,300 digits
-_MAX_REPORT_DIGITS = 4000
-
-
 def cmd_zeta_igusa(args):
     field = _field_from_args(args)
     f = parse_polynomial(args.poly, args.n)
+    # the report prints each c_k, whose denominator divides q^{n(k+1)}, as
+    # a decimal Fraction
     digits = f.n * (args.terms + 1) * math.log10(field.q)
-    if digits > _MAX_REPORT_DIGITS:
+    if digits > MAX_PRINT_DIGITS:
         raise BudgetExceeded(
             f"{args.terms} terms print denominators of up to "
             f"{math.ceil(digits)} digits; the report allows "
-            f"{_MAX_REPORT_DIGITS}")
+            f"{MAX_PRINT_DIGITS}")
     series = zeta.igusa_series(f, field, args.terms, method=args.method)
     results = {"series": {"coefficients": list(series.coeffs),
                           "mode": args.method,

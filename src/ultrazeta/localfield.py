@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import reprlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -40,9 +41,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: (Sorenson and Webster, Math. Comp. 86, 2017); larger p are refused.
 _PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 
-#: a norm q^-val prints as a Fraction; its power of p may have at most this
-#: many decimal digits (Python refuses to print ints past 4,300 digits)
-_MAX_NORM_DIGITS = 4000
+#: a norm q^-val, or any Fraction over a power of p, prints in decimal; its
+#: power of p may have at most this many digits, 300 under the interpreter's
+#: limit on printing an int (4,300 unless PYTHONINTMAXSTRDIGITS lowers it)
+#: and never more than 4,000, so that a raised limit changes no result
+MAX_PRINT_DIGITS = min(4000, (sys.get_int_max_str_digits() or 4300) - 300)
 
 
 def _is_prime(n: int) -> bool:
@@ -72,8 +75,8 @@ def _is_prime(n: int) -> bool:
 
 
 def _max_valuation(p: int) -> int:
-    """Largest |val| whose norm p^-val prints in _MAX_NORM_DIGITS digits."""
-    return int(_MAX_NORM_DIGITS / math.log10(p))
+    """Largest |val| whose norm p^-val prints in MAX_PRINT_DIGITS digits."""
+    return int(MAX_PRINT_DIGITS / math.log10(p))
 
 
 @dataclass(frozen=True)
@@ -747,13 +750,22 @@ class _QpOps(_FieldOps):
 #: below 2^62, so it can be reduced before anything can wrap
 _INT64_MODULUS = 2 ** 31
 
+#: points per call of the order kernel ``poly_ords``: its callers pass at
+#: most this many, and the F_p((T)) kernel, whose arrays have a row per
+#: power of T, takes KERNEL_BLOCK // cap at a time.  On 2^16 the Q_3 brute
+#: count of x1^2+x1*x2+x2^3 at K = 4 (3^10 points) ran 3.4x slower and at
+#: K = 7 kept 4 MiB more; 2^12 was 1.6x slower at K = 7.
+KERNEL_BLOCK = 2 ** 13
+
 
 def _poly_residues(f, x, M):
     """f(x) mod M at every column of x, an (n, N) array of residues mod M.
 
     Every product is reduced mod M, unless no term of f, times its
     coefficient and summed over the terms, can reach 2^63 before the one
-    reduction at the end.
+    reduction at the end.  Skipping the reductions took the Q_3 brute
+    counts of x1^2+x1*x2+x2^3 from 1.6 to 1.1 ms at K = 4 and from 1.0
+    to 0.7 s at K = 7.
     """
     lazy = x.dtype != object and \
         len(f.terms) * M ** (f.degree() + 1) < 2 ** 63
@@ -839,30 +851,28 @@ class _LaurentOps(_FieldOps):
         """ord f(x), capped at cap, at every column x of the (n, N) array
         ``points`` of digit-encoded integers: f evaluated over
         F_p[T] / T^cap on digit arrays, one row per power of T.  Points
-        are taken _BLOCK_CELLS // cap at a time, which bounds every array
+        are taken KERNEL_BLOCK // cap at a time, which bounds every array
         the products build."""
         p = self.p
         x = np.asarray(points)
-        step = max(1, _BLOCK_CELLS // cap)
+        step = max(1, KERNEL_BLOCK // cap)
         if x.shape[1] > step:
             return np.concatenate([
                 self.poly_ords(f, x[:, lo:lo + step], cap)
                 for lo in range(0, x.shape[1], step)])
         terms = [(e, c % p) for e, c in f.terms if c % p]
-        # a digit product of degree d sums at most cap^(d-1) (p-1)^d: reduce
-        # mod p only where the sum over the terms could pass 2^63
-        deg = f.degree()
-        lazy = len(terms) * cap ** deg * (p - 1) ** (deg + 1) < 2 ** 63
-        dt = np.int64 if lazy or len(terms) * cap * (p - 1) ** 2 < 2 ** 63 \
+        # digits are reduced mod p after every product, which sums at most
+        # cap products of two digits; Python ints where the terms' sum of
+        # such digits could pass 2^63
+        dt = np.int64 if len(terms) * cap * (p - 1) ** 2 < 2 ** 63 \
             else object
-        conv = (lambda a, b: _trunc_mul(a, b, cap)) if lazy \
-            else (lambda a, b: _mod(_trunc_mul(a, b, cap), p))
         # row cap is a unit that no term reaches: the first nonzero row
         # of every column is its capped order
         acc = np.zeros((cap + 1, x.shape[1]), dt)
         acc[cap] = 1
         digits = _digit_rows(x, p, cap).astype(dt, copy=False)
-        for c, t in _monomials(terms, digits, conv):
+        for c, t in _monomials(
+                terms, digits, lambda a, b: _mod(_trunc_mul(a, b, cap), p)):
             if t is None:
                 acc[0] += c
             else:
@@ -943,10 +953,6 @@ class _LaurentOps(_FieldOps):
     def scaled_terms(self, h, D: int):
         raise UnsupportedPolynomial(
             "general polynomial symbols are implemented over Q_p")
-
-
-# the F_p((T)) order kernel takes at most this many points times cap at once
-_BLOCK_CELLS = 2 ** 13
 
 
 def _digit_rows(x, p, cap):

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +28,7 @@ from .errors import AmbiguousSolution, BudgetExceeded, DivergentIntegral, \
     NondegeneracyFailed, NoSolution, PoleProximity
 from .grid import GridFunction, fourier_transform, power_integral
 from .intpoly import IntPolynomial
-from .localfield import FieldSpec, Qp
+from .localfield import KERNEL_BLOCK, FieldSpec, Qp
 from .ratfunc import Poly, RationalFunctionT, reconstruct_from_series, \
     solve_exact
 
@@ -106,51 +104,33 @@ def _igusa_monomial(f, field, K):
     return ([Fraction(0)] * vc + dist)[:K + 1]
 
 
-# points or children per call of the order kernel: keeps every array the
-# counter and the lift build at 64 KiB of int64
-_BLOCK = 2 ** 13
-
-
 def _igusa_brute(f, field, K, budget):
     """Histogram of ord f, capped at K + 1, over the residues mod
     pi^{K+1}.
 
     The points are counted in blocks of q^s consecutive flat indices
-    (first coordinate slowest), s >= 1 and q^s <= _BLOCK unless q is
-    larger than _BLOCK itself: a block's start has s zero base-q
+    (first coordinate slowest), s >= 1 and q^s <= KERNEL_BLOCK unless q is
+    larger than KERNEL_BLOCK itself: a block's start has s zero base-q
     digits at the bottom, so its coordinates are those of the start plus
-    one fixed offset table, with no carry.  With w = ULTRAZETA_THREADS > 1
-    threads, thread i counts every w-th block from block i, and the w
-    histograms are summed in thread order.
+    one fixed offset table, with no carry.
     """
     q, n = field.q, f.n
     M = q ** (K + 1)
     points = M ** n
     if points > budget:
         raise BudgetExceeded(f"brute enumeration needs {points} points")
-    size = q  # past _BLOCK only when q is: one block per residue digit
-    while size * q <= min(_BLOCK, points):
+    size = q  # past KERNEL_BLOCK only when q is: one block per residue digit
+    while size * q <= min(KERNEL_BLOCK, points):
         size *= q
     place = [M ** (n - 1 - i) for i in range(n)]
     offsets = np.arange(size, dtype=np.int64)
     offsets = np.stack([offsets // pl % M for pl in place])
 
-    def block(start):
+    counts = 0
+    for start in range(0, points, size):
         at = np.array([start // pl % M for pl in place], np.int64)
-        return np.bincount(field.ops.poly_ords(f, offsets + at[:, None],
-                                               K + 1), minlength=K + 2)
-
-    def share(starts):
-        return sum(map(block, starts))
-
-    starts = range(0, points, size)
-    workers = int(os.environ.get("ULTRAZETA_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(share, [starts[i::workers]
-                                          for i in range(workers)]))
-    else:
-        counts = share(starts)
+        counts += np.bincount(field.ops.poly_ords(f, offsets + at[:, None],
+                                                  K + 1), minlength=K + 2)
     # counts[k] = #{x mod pi^{K+1} : ord f(x) = k}, ord K + 1 for >= K + 1
     total = Fraction(q) ** (-n * (K + 1))
     return [int(c) * total for c in counts[:K + 1]]
@@ -172,7 +152,7 @@ def _igusa_lift(f, field, K, budget):
     # a cell is the integer vector of its known digits (see localfield),
     # one column per open cell; a child adds one digit to every coordinate
     open_cells = np.zeros((n, 1), np.int64)
-    per_chunk = max(1, _BLOCK // q ** n)
+    per_chunk = max(1, KERNEL_BLOCK // q ** n)
     for k in range(K + 1):
         if not open_cells.shape[1]:
             break  # every cell is closed: the deeper levels add nothing

@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ultrazeta
 from ultrazeta import pdo
 from ultrazeta.cli import build_parser, main
 from ultrazeta.grid import GridFunction, fourier_transform, random_grid
@@ -492,6 +497,30 @@ def test_igusa_terms_past_the_report_digits_exit_one(capsys, tmp_path):
         "coefficients"]
     assert len(coeffs) == 4191
     assert Fraction(coeffs[-1]) > 0
+
+
+def test_the_report_digits_follow_a_lowered_int_print_limit(tmp_path):
+    # under a 1,000-digit limit the bound is 700 digits: 732 terms of x1*x2
+    # over Q_3 may print denominators of up to 699.5 digits, 733 of 700.4,
+    # and 2,200 terms, whose last denominator 3^2202 has 1,051 digits and
+    # cannot print, are refused before any work instead of failing after it
+    src = str(Path(ultrazeta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="1000", PYTHONPATH=src)
+
+    def run(terms):
+        return subprocess.run(
+            [sys.executable, "-m", "ultrazeta.cli", "zeta", "igusa", "--n",
+             "2", "--poly", "x1*x2", "--terms", str(terms)],
+            env=env, capture_output=True, text=True, cwd=tmp_path)
+
+    ok = run(732)
+    assert ok.returncode == 0, ok.stderr
+    assert len(json.loads(ok.stdout)["results"]["series"][
+        "coefficients"]) == 733
+    for terms in (733, 2200):
+        refused = run(terms)
+        assert refused.returncode == 1, refused.stderr
+        assert refused.stderr.startswith("ultrazeta: BudgetExceeded: ")
 
 
 def test_fundsol_division_walk_over_budget_exits_one(capsys):

@@ -326,7 +326,8 @@ def test_weighted_closure_keeps_lift_small():
 @pytest.mark.parametrize("field", [F3, LaurentFp(3)], ids=["Q3", "F3T"])
 @pytest.mark.parametrize("threads", ["3", "40"])
 def test_brute_counts_do_not_depend_on_threads(monkeypatch, field, threads):
-    # 9 blocks of 3^8 points: 40 threads leave most of them without one
+    # a thread cap, even one past the 9 blocks of 3^8 points, changes no
+    # count
     f = parse_polynomial("x1^2+x1*x2+x2^3", 2)
     one = igusa_series(f, field, 4, method="brute")
     monkeypatch.setenv("ULTRAZETA_THREADS", threads)
