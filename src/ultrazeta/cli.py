@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -76,8 +75,7 @@ def _load_grid(path) -> GridFunction:
 
 
 def _cfg(args, keys):
-    out = {"seed": args.seed,
-           "threads": os.environ.get("ULTRAZETA_THREADS", "1")}
+    out = {"seed": args.seed}
     for k in keys:
         out[k] = getattr(args, k)
     return out

@@ -15,7 +15,7 @@ from .errors import BudgetExceeded, UnsupportedPolynomial
 from .grid import GridFunction, Multiplier, SpectralFunction, \
     fourier_transform, pairing, random_grid
 from .intpoly import IntPolynomial
-from .localfield import FieldSpec, LocalFieldElement, digits_of
+from .localfield import FieldSpec, LocalFieldElement, index_digits
 from .ratfunc import LambdaPoly, RationalFunctionT, laurent_at
 from .zeta import cells_to_rational
 
@@ -175,7 +175,9 @@ def division_check(f: IntPolynomial, field: FieldSpec) -> CheckReport:
         raise BudgetExceeded(f"the division check walks {cells} cells; "
                              f"the budget is {_DIVISION_CELLS}")
     fexp = field.ops.norm_exps(L, m).tolist()
-    elems = [_element_from_rep(field, None, L, m, i) for i in range(Q)]
+    # the representative of every axis index
+    elems = [LocalFieldElement.from_digits(field, -L, digits) for digits in
+             index_digits(np.arange(Q), q, L + m).tolist()]
     rep = CheckReport("division", 0, 0.0)
 
     def walk(ax, idx, fv, ehat_exp):
@@ -193,17 +195,8 @@ def division_check(f: IntPolynomial, field: FieldSpec) -> CheckReport:
                 g = g * elems[i]
             walk(ax + 1, idx + (i,), g, ehat_exp - fexp[i] * N)
 
-    walk(0, (), _element_from_rep(field, c, L, m, None), vc)
+    walk(0, (), LocalFieldElement.from_rational(field, c), vc)
     return rep
-
-
-def _element_from_rep(field, const, L, m, index):
-    """The constant ``const``, or the representative of axis index
-    ``index``, as a field element."""
-    if index is None:
-        return LocalFieldElement.from_rational(field, const)
-    return LocalFieldElement.from_digits(
-        field, -L, digits_of(int(index), field.q, L + m))
 
 
 def convolution_check(f: IntPolynomial, field: FieldSpec, trials: int,

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DivergentIntegral, UnsupportedPolynomial
 from .intpoly import IntPolynomial
-from .localfield import ZERO_SENTINEL, FieldSpec
+from .localfield import ZERO_SENTINEL, FieldSpec, index_digits
 
 # Most cells GridFunction.zeros and embed allocate: 2 GiB of complex128.
 MAX_GRID_CELLS = 2 ** 27
@@ -63,21 +63,12 @@ def _check_grid_cells(q: int, n: int, width: int):
 
 # -- axis digits of grid JSON -------------------------------------------------
 
-def _index_digits(idx: np.ndarray, q: int, width: int) -> np.ndarray:
-    """out[..., t]: digit t (least significant first) of every axis index."""
-    out = np.empty(idx.shape + (width,), dtype=np.min_scalar_type(q))
-    for t in range(width):
-        out[..., t] = idx % q
-        idx = idx // q
-    return out
-
-
 @lru_cache(maxsize=None)
 def _axis_digit_text(q: int, width: int):
     """JSON text of every axis index's digit list, as ``to_json`` writes
     it: a list of ints prints as its JSON array."""
-    idx = np.arange(q ** width, dtype=np.int64)
-    return list(map(str, _index_digits(idx, q, width).tolist()))
+    return list(map(str, index_digits(np.arange(q ** width), q,
+                                      width).tolist()))
 
 
 # -- grid functions -----------------------------------------------------------
@@ -214,7 +205,7 @@ class GridFunction:
     def to_json(self, dense=False) -> dict:
         vals, axes = self._kept_cells(dense)
         coords = np.array(axes, dtype=np.int64).reshape(self.n, vals.size).T
-        digits = _index_digits(coords, self.field.q, self.L + self.m)
+        digits = index_digits(coords, self.field.q, self.L + self.m)
         entries = [{"coset": c, "re": re, "im": im}
                    for c, re, im in zip(digits.tolist(), vals.real.tolist(),
                                         vals.imag.tolist())]
@@ -466,13 +457,13 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 # -- norms, metric ------------------------------------------------------------
 
 def l2_norm(g: GridFunction) -> float:
-    a = np.abs(g.as_complex() if g.is_exact else g.values)
+    a = np.abs(g.as_complex())
     a **= 2
     return math.sqrt(float(np.sum(a)) * float(g.coset_measure()))
 
 
 def sup_norm(g: GridFunction) -> float:
-    v = g.as_complex() if g.is_exact else g.values
+    v = g.as_complex()
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
@@ -528,18 +519,30 @@ def sobolev_norm(g, l: int) -> float:
 def sobolev_norm_with_tail(g, l: int):
     """(||g||_l, certified tail bound on the squared norm).  A grid keeps
     its shell energies on the first call, read-only, and its values are
-    frozen with them, so that no write can leave them stale."""
+    frozen with them, so that no write can leave them stale.  An empty
+    shell adds exactly 0, whatever l; a norm or bound past the float range
+    raises ValueError."""
     if isinstance(g, SpectralFunction):
-        sq, tail = g.norm_sq(l)
-        return math.sqrt(max(sq, 0.0)), tail
-    S = getattr(g, "_shells", None)
-    if S is None:
-        S = _shell_energies(g)
-        _freeze(S)
-        _freeze(g.values)
-        object.__setattr__(g, "_shells", S)  # not a field: == and repr stay
-    w = float(g.field.q) ** (np.arange(S.size) * l)
-    return math.sqrt(float(np.sum(w * S))), 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            sq, tail = g.norm_sq(l)
+        value = math.sqrt(max(sq, 0.0))
+    else:
+        S = getattr(g, "_shells", None)
+        if S is None:
+            S = _shell_energies(g)
+            _freeze(S)
+            _freeze(g.values)
+            # not a field: == and repr stay
+            object.__setattr__(g, "_shells", S)
+        with np.errstate(over="ignore"):  # refused below
+            w = float(g.field.q) ** (np.arange(S.size) * l)
+            terms = np.zeros_like(S)
+            np.multiply(w, S, out=terms, where=S > 0)
+            value, tail = math.sqrt(float(np.sum(terms))), 0.0
+    if not (math.isfinite(value) and math.isfinite(tail)):
+        raise ValueError(f"the Sobolev norm at l = {l} is beyond float "
+                         f"range")
+    return value, tail
 
 
 def hinf_metric(f: GridFunction, g: GridFunction, l_max=None) -> float:
@@ -640,7 +643,7 @@ def power_integral(g: GridFunction, exponents, zero_mode="closed"):
                 f"zero cell", multiplier=(ax, w[ax]))
     if g.is_exact and all(isinstance(x, (int, Fraction)) for x in w):
         return _power_integral_exact(g, w)
-    v = g.values.astype(complex) if g.is_exact else g.values
+    v = g.as_complex()
     for ax in range(g.n):
         skip = complex(w[ax]).real <= -1  # g vanishes on that zero cell
         wt = _axis_power_weights(g, w[ax], "skip" if skip else zero_mode)
@@ -659,7 +662,7 @@ def _power_integral_exact(g: GridFunction, w):
     f = g.field.ops.norm_exps(g.L, g.m)
     total = Fraction(0)
     meas = Fraction(q) ** (-g.m)
-    for idx in zip(*np.nonzero(g.values)):
+    for idx in map(tuple, np.argwhere(g.values)):  # (): the cell of n = 0
         val = g.values[idx]
         factor = Fraction(1)
         for ax, i in enumerate(idx):
@@ -755,8 +758,10 @@ class SpectralFunction:
     def norm_sq(self, l: int):
         """(||T||_l^2, tail bound): integral of [xi]^l |T-hat|^2."""
         exps = self.coordinate_exponents(scale=2)
-        weight = _bracket_weight(self.base, l)
-        vals = np.abs(self.base.values.astype(complex)) ** 2 * weight
+        vals = np.asarray(np.abs(self.base.as_complex()) ** 2)  # n = 0 too
+        # an uncharged cell adds exactly 0, also where [xi]^l overflows
+        np.multiply(vals, _bracket_weight(self.base, l), out=vals,
+                    where=vals > 0)
         carrier = GridFunction(self.field, self.n, self.base.L, self.base.m,
                                vals)
         if exps is not None:
@@ -778,8 +783,7 @@ class SpectralFunction:
         """integral of conj(T-hat) ghat over the common grid."""
         base, gh = unify_pair(self.base, ghat)
         prod = GridFunction(base.field, base.n, base.L, base.m,
-                            np.conj(base.values.astype(complex))
-                            * gh.values.astype(complex))
+                            np.conj(base.as_complex()) * gh.as_complex())
         exps = self.coordinate_exponents(conjugate=True)
         if exps is not None:
             const, w = exps
@@ -953,7 +957,7 @@ def partial_fourier_restrict(g: GridFunction, J, xi0) -> GridFunction:
         if ops.coord_norm(c) > Fraction(q) ** g.m:
             keep = [ax for ax in range(g.n) if ax not in J]
             return GridFunction.zeros(g.field, len(keep), g.L, g.m)
-    v = g.values.astype(complex) if g.is_exact else g.values
+    v = g.as_complex()
     meas = float(Fraction(q) ** (-g.m))
     for ax, c in sorted(zip(J, xi0), reverse=True):
         ph = ops.char_weights(c, g.L, g.m) * meas
@@ -979,7 +983,7 @@ def spectral_space_value(T: SpectralFunction, point) -> complex:
     ops = base.field.ops
     if max(map(ops.coord_norm, point)) > Fraction(q) ** base.m:
         raise ValueError("point outside the dual resolution ball")
-    v = base.values.astype(complex)
+    v = base.as_complex()
     meas = float(Fraction(q) ** (-base.m))
     for ax in reversed(range(base.n)):
         c = point[ax]

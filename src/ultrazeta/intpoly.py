@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .localfield import fpt_mul
+
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -92,7 +94,7 @@ class IntPolynomial:
             t = [c % p] + [0] * (trunc - 1)
             for x, e in zip(point, exps):
                 for _ in range(e):
-                    t = _fpt_mul(t, x, p, trunc)
+                    t = fpt_mul(t, x, p, trunc)
             for i in range(trunc):
                 acc[i] = (acc[i] + t[i]) % p
         return tuple(acc)
@@ -100,16 +102,9 @@ class IntPolynomial:
     # -- calculus ------------------------------------------------------------
 
     def partial(self, i: int) -> "IntPolynomial":
-        out = {}
-        for exps, c in self.terms:
-            if exps[i] == 0:
-                continue
-            e = list(exps)
-            cc = c * e[i]
-            e[i] -= 1
-            e = tuple(e)
-            out[e] = out.get(e, 0) + cc
-        return IntPolynomial.make(self.n, out)
+        """df/dx_i, the Hasse derivative of order one in x_i."""
+        return self.hasse_derivative(tuple(int(j == i)
+                                           for j in range(self.n)))
 
     def gradient(self):
         return [self.partial(i) for i in range(self.n)]
@@ -166,17 +161,6 @@ class IntPolynomial:
             else:
                 bits.append(str(c))
         return " + ".join(bits).replace("+ -", "- ")
-
-
-def _fpt_mul(a, b, p, trunc):
-    out = [0] * trunc
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(trunc - i):
-            if b[j]:
-                out[i + j] = (out[i + j] + ai * b[j]) % p
-    return tuple(out)
 
 
 _TERM_RE = re.compile(r"^\s*(\d+)\s*$")

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import Inexact, UnsupportedPolynomial
+from .errors import BudgetExceeded, Inexact, UnsupportedPolynomial
 
 DEFAULT_PRECISION = 32
 
@@ -46,6 +46,12 @@ _PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 #: limit on printing an int (4,300 unless PYTHONINTMAXSTRDIGITS lowers it)
 #: and never more than 4,000, so that a raised limit changes no result
 MAX_PRINT_DIGITS = min(4000, (sys.get_int_max_str_digits() or 4300) - 300)
+
+#: most digits an element read by ``from_json`` may carry: F_p((T))
+#: division, the slowest element operation, is quadratic in the digits,
+#: and took 0.18 s at this bound (0.76 s at 4,000 digits, from the CLI on
+#: a 2-vCPU Xeon)
+MAX_ELEMENT_DIGITS = 2000
 
 
 def _is_prime(n: int) -> bool:
@@ -326,13 +332,8 @@ class LocalFieldElement:
         if self.field.kind == "Qp":
             u = self._unit * other._unit % p ** prec
             return _qp_from_unit(self.field, val, u, prec)
-        digits = [0] * prec
-        for i, a in enumerate(self.digits[:prec]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.digits[:prec - i]):
-                digits[i + j] = (digits[i + j] + a * b) % p
-        return LocalFieldElement(self.field, val, tuple(digits))
+        return LocalFieldElement(self.field, val, tuple(
+            fpt_mul(self.digits, other.digits, p, prec)))
 
     def __truediv__(self, other):
         self._check_same_field(other)
@@ -369,7 +370,8 @@ class LocalFieldElement:
         """Inverse of ``to_json``: an object with a field object, ``val``
         an int, ``"inf"`` or null (zero), and ``digits`` a list of int
         digits in 0..p-1.  Anything else raises ValueError naming the
-        first faulty field."""
+        first faulty field; more than MAX_ELEMENT_DIGITS digits raise
+        BudgetExceeded before any is read."""
         if type(obj) is not dict:
             raise ValueError(f"a field element is a JSON object, not "
                              f"{reprlib.repr(obj)}")
@@ -392,6 +394,10 @@ class LocalFieldElement:
         if type(digits) is not list:
             raise ValueError(f"element digits must be a list, not "
                              f"{reprlib.repr(digits)}")
+        if len(digits) > MAX_ELEMENT_DIGITS:
+            raise BudgetExceeded(f"an element of {len(digits)} digits "
+                                 f"exceeds the budget of "
+                                 f"{MAX_ELEMENT_DIGITS} digits")
         for d in digits:
             if type(d) is not int or not 0 <= d < fld.p:
                 raise ValueError(f"element digit {reprlib.repr(d)} is not an "
@@ -412,14 +418,7 @@ class LocalFieldElement:
 def _qp_from_unit(field, val, unit, prec):
     """The Q_p element p^val * unit, for a unit 0 < unit < p^prec prime to
     p; it keeps ``unit``, so products never rebuild it from the digits."""
-    # digits_of's loop, inline: every Q_p operation builds one element
-    p = field.p
-    digits = []
-    u = unit
-    for _ in range(prec):
-        digits.append(u % p)
-        u //= p
-    out = LocalFieldElement(field, val, tuple(digits))
+    out = LocalFieldElement(field, val, tuple(digits_of(unit, field.p, prec)))
     out.__dict__["_unit"] = unit
     return out
 
@@ -433,23 +432,17 @@ def _qp_from_unit_shifted(field, val, s, width):
 
 # -- module operations ------------------------------------------------------
 
-def p_adic_ord(p: int, x, cap=None):
-    """ord_p of an int or a Fraction, None at 0.  With ``cap`` (ints only)
-    also None once the order reaches cap, which bounds the loop."""
+def p_adic_ord(p: int, x):
+    """ord_p of an int or a Fraction, None at 0."""
     if x == 0:
         return None
     if type(x) is Fraction:
         return p_adic_ord(p, x.numerator) - p_adic_ord(p, x.denominator)
     v = 0
-    if cap is None:
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-    while v < cap and x % p == 0:
+    while x % p == 0:
         x //= p
         v += 1
-    return v if v < cap else None
+    return v
 
 
 def digits_of(i: int, p: int, width: int) -> list:
@@ -460,6 +453,28 @@ def digits_of(i: int, p: int, width: int) -> list:
         out.append(i % p)
         i //= p
     return out
+
+
+def index_digits(idx, p: int, width: int) -> np.ndarray:
+    """out[..., t]: the base-p digit t, least significant first, of every
+    integer 0 <= i < p^width of the array idx; ``digits_of`` on arrays."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.empty(idx.shape + (width,), dtype=np.min_scalar_type(p))
+    for t in range(width):
+        out[..., t] = idx % p
+        idx = idx // p
+    return out
+
+
+def fpt_mul(a, b, p: int, trunc: int) -> list:
+    """a * b in F_p[T] / T^trunc for digit sequences a and b (the
+    coefficient of T^i at i): the trunc digits of the product."""
+    out = [0] * trunc
+    for i, ai in enumerate(a[:trunc]):
+        if ai:
+            for j, bj in enumerate(b[:trunc - i]):
+                out[i + j] += ai * bj
+    return [d % p for d in out]
 
 
 def valuation_and_norm(x: LocalFieldElement):
@@ -598,14 +613,9 @@ ZERO_SENTINEL = -(10 ** 9)
 def _axis_norm_exps(p: int, L: int, m: int):
     """norm exponent f with |rep_i| = q^f per axis index of a grid with
     support exponent L and resolution m, the same on both fields; the
-    sentinel at the zero representative."""
-    Q = p ** (L + m)
-    idx = np.arange(Q, dtype=np.int64)
-    out = np.full(Q, L, dtype=np.int64)
-    pk = p
-    for _ in range(1, L + m):
-        out -= idx % pk == 0
-        pk *= p
+    sentinel at the zero representative: |i / p^L| = p^(ord_p i - L)."""
+    # uncached: the table cache holds only tables of at most 2^16 entries
+    out = L - _ord_table.__wrapped__(p, L + m).astype(np.int64)
     out[0] = ZERO_SENTINEL
     return out
 
@@ -885,14 +895,9 @@ class _LaurentOps(_FieldOps):
     @lru_cache(maxsize=None)
     def negation(self, L: int, m: int):
         # digitwise negation: -d_t mod p at every place p^t
-        p = self.p
-        idx = np.arange(p ** (L + m), dtype=np.int64)
-        out = np.zeros(p ** (L + m), dtype=np.int64)
-        pk = 1
-        for _ in range(L + m):
-            out += (-(idx // pk) % p) * pk
-            pk *= p
-        return out
+        p, width = self.p, L + m
+        digits = index_digits(np.arange(p ** width), p, width)
+        return (p - digits) % p @ _place_values(p, width)
 
     def char_weights(self, c, L: int, m: int) -> np.ndarray:
         """chi(-rep_i * c) for every axis representative (exact
@@ -902,17 +907,11 @@ class _LaurentOps(_FieldOps):
                             "coordinates")
         if not c.is_zero and c.known_to < L:
             raise Inexact("xi0 digits unresolved at the grid scale")
-        q = self.p
-        idx = np.arange(q ** (L + m), dtype=np.int64)
-        # the pairing of digit t of rep_i with the digit of c at L-1-t, mod q
-        acc = np.zeros(q ** (L + m), dtype=np.int64)
-        for t in range(L + m):
-            e = L - 1 - t
-            if c.is_zero or e < c.valuation:
-                continue
-            if e >= c.known_to:
-                raise Inexact("xi0 digits unresolved at the grid scale")
-            acc += idx // q ** t % q * c.digit_at(e)
+        q, width = self.p, L + m
+        # the pairing of digit t of rep_i with the digit of c at L-1-t, mod
+        # q; every L-1-t is below L, so below c.known_to
+        acc = index_digits(np.arange(q ** width), q, width) @ np.array(
+            [c.digit_at(L - 1 - t) for t in range(width)], dtype=np.int64)
         roots = np.array([cmath.exp(-2j * math.pi * a / q) for a in range(q)])
         return roots[acc % q]
 
@@ -996,13 +995,8 @@ def _digit_group_matrix(p: int, c: int, inverse=False) -> np.ndarray:
     """F_p^{tensor c}: entry (a, b) is exp(-2 pi i e / p) with the exact
     integer e = sum_t a_t b_t mod p over the base-p digits of a and b;
     with ``inverse`` its conjugate, exp(2 pi i e / p)."""
-    idx = np.arange(p ** c, dtype=np.int64)
-    e = np.zeros((p ** c,) * 2, dtype=np.int64)
-    pk = 1
-    for _ in range(c):
-        d = (idx // pk) % p
-        e += np.multiply.outer(d, d)
-        pk *= p
+    d = index_digits(np.arange(p ** c), p, c).astype(np.int64)
+    e = d @ d.T
     k = np.arange(p)
     half = np.minimum(k, p - k)
     # conjugate pairs come out exactly conjugate, and p = 2 gives exactly -1,
@@ -1017,12 +1011,7 @@ def _digit_group_matrix(p: int, c: int, inverse=False) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _digit_reversal(p: int, width: int) -> np.ndarray:
     """Index whose base-p digits are those of i in reverse order."""
-    idx = np.arange(p ** width, dtype=np.int64)
-    out = np.zeros(p ** width, dtype=np.int64)
-    lo, hi = 1, p ** max(width - 1, 0)
-    for _ in range(width):
-        out += (idx // lo) % p * hi
-        lo *= p
-        hi //= p
+    out = index_digits(np.arange(p ** width), p, width) \
+        @ _place_values(p, width)[::-1]
     out.setflags(write=False)
     return out

@@ -121,10 +121,11 @@ class Poly:
         return f"Poly({self.coeffs})"
 
 
-def _is_zero_scalar(c) -> bool:
+def _is_zero_scalar(c, tol=0.0) -> bool:
+    """c == 0 for an exact c, |c| <= tol for a float or complex one."""
     if isinstance(c, (int, Fraction)):
         return c == 0
-    return c == 0 or abs(c) == 0.0
+    return abs(c) <= tol
 
 
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -576,7 +577,7 @@ def laurent_at(expr: RationalFunctionT, s0, max_order: int,
     if not exact:
         tol = 1e-12 * max(1.0, max(abs(complex(c)) for c in den_s.coeffs))
     m = 0
-    while m <= den_s.degree() and _below(den_s[m], tol):
+    while m <= den_s.degree() and _is_zero_scalar(den_s[m], tol):
         m += 1
     if m > den_s.degree():
         raise ZeroDivisionError("expression is identically singular")
@@ -615,9 +616,3 @@ def laurent_at(expr: RationalFunctionT, s0, max_order: int,
     min_order = min(coeffs) if coeffs else 0
     return LaurentExpansion(center=s0, q=q, coefficients=coeffs,
                             min_order=min_order, exact=exact)
-
-
-def _below(c, tol):
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return abs(c) <= tol

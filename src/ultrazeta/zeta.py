@@ -28,7 +28,8 @@ from .errors import AmbiguousSolution, BudgetExceeded, DivergentIntegral, \
     NondegeneracyFailed, NoSolution, PoleProximity
 from .grid import GridFunction, fourier_transform, power_integral
 from .intpoly import IntPolynomial
-from .localfield import KERNEL_BLOCK, FieldSpec, Qp
+from .localfield import KERNEL_BLOCK, FieldSpec, Qp, digits_of, \
+    index_digits
 from .ratfunc import Poly, RationalFunctionT, reconstruct_from_series, \
     solve_exact
 
@@ -122,13 +123,13 @@ def _igusa_brute(f, field, K, budget):
     size = q  # past KERNEL_BLOCK only when q is: one block per residue digit
     while size * q <= min(KERNEL_BLOCK, points):
         size *= q
-    place = [M ** (n - 1 - i) for i in range(n)]
-    offsets = np.arange(size, dtype=np.int64)
-    offsets = np.stack([offsets // pl % M for pl in place])
+    # coordinates: the base-M digits of the flat index, most significant first
+    offsets = np.ascontiguousarray(
+        index_digits(np.arange(size), M, n)[:, ::-1].T, np.int64)
 
     counts = 0
     for start in range(0, points, size):
-        at = np.array([start // pl % M for pl in place], np.int64)
+        at = np.array(digits_of(start, M, n)[::-1], np.int64)
         counts += np.bincount(field.ops.poly_ords(f, offsets + at[:, None],
                                                   K + 1), minlength=K + 2)
     # counts[k] = #{x mod pi^{K+1} : ord f(x) = k}, ord K + 1 for >= K + 1
@@ -286,12 +287,17 @@ def _cell_closures(f, grads, ops, cells, M):
 
 # -- closed forms -------------------------------------------------------------
 
+def _one_minus(c, N: int) -> Poly:
+    """The polynomial 1 - c t^N (N >= 1)."""
+    return Poly([Fraction(1)] + [Fraction(0)] * (N - 1) + [-c])
+
+
 def geometric_zeta_factor(q: int, N: int, v) -> RationalFunctionT:
     """(1 - 1/q) / (1 - q^{-v} t^N): the integral of |xi|^{N s + v - 1}
     over R_K."""
     qf = Fraction(q)
-    den = [Fraction(1)] + [Fraction(0)] * (N - 1) + [-qf ** (-v)]
-    return RationalFunctionT.from_coeffs([1 - 1 / qf], den, q)
+    return RationalFunctionT.make(Poly([1 - 1 / qf]),
+                                  _one_minus(qf ** (-v), N), q)
 
 
 def monomial_zeta_closed(N, v=None, q: int = 3) -> RationalFunctionT:
@@ -335,14 +341,9 @@ def snc_form_Z0(f: IntPolynomial, d: int, series: ZetaSeries,
     q = series.q
     n = f.n
     Z = reconstruct_snc_zeta(series, n, d)
-    qf = Fraction(q)
-    fac_d = RationalFunctionT.from_coeffs(
-        [Fraction(1)] + [Fraction(0)] * (d - 1) + [-qf ** (-n)],
-        [Fraction(1)], q)
-    Z0 = fac_d * Z
-    fac_1 = RationalFunctionT.from_coeffs([Fraction(1), -1 / qf],
-                                          [Fraction(1)], q)
-    L = fac_1 * Z0
+    qf, one = Fraction(q), Poly([Fraction(1)])
+    Z0 = RationalFunctionT.make(_one_minus(qf ** (-n), d), one, q) * Z
+    L = RationalFunctionT.make(_one_minus(1 / qf, 1), one, q) * Z0
     if not L.is_polynomial:
         raise NondegeneracyFailed(
             "(1 - t/q) Z_0 is not polynomial; the form does not have the "
@@ -365,8 +366,7 @@ def reconstruct_snc_zeta(series: ZetaSeries, n: int, d: int,
             last_err = err
             continue
         qf = Fraction(q)
-        target = Poly([Fraction(1), -1 / qf]) * \
-            Poly([Fraction(1)] + [Fraction(0)] * (d - 1) + [-qf ** (-n)])
+        target = _one_minus(1 / qf, 1) * _one_minus(qf ** (-n), d)
         _, rem = target.divmod(Z.den)
         if rem.is_zero:
             return Z
@@ -614,8 +614,8 @@ def cells_to_rational(gh: GridFunction, specs) -> RationalFunctionT:
     # only axes whose zero cell carries mass contribute denominator factors
     active = [ax for ax in range(gh.n)
               if specs[ax] is not None and (nz[ax] == 0).any()]
-    factors = {ax: Poly([Fraction(1)] + [Fraction(0)] * (specs[ax][0] - 1)
-                        + [-qf ** (-specs[ax][1])]) for ax in active}
+    factors = {ax: _one_minus(qf ** (-specs[ax][1]), specs[ax][0])
+               for ax in active}
     den = Poly([Fraction(1)])
     for ax in active:
         den = den * factors[ax]

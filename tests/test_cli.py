@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -530,3 +531,86 @@ def test_fundsol_division_walk_over_budget_exits_one(capsys):
     assert rc == 1, err
     assert err.startswith("ultrazeta: BudgetExceeded: ")
     assert "40960000 cells" in err
+
+
+# -- element digits and Sobolev norms past the float range ---------------------
+
+def _laurent_elem(digits):
+    return json.dumps({"field": {"kind": "LaurentFp", "p": 3}, "val": 0,
+                       "digits": [1] + [2] * (digits - 1)})
+
+
+def test_field_element_past_the_digit_budget_exits_one(capsys):
+    from ultrazeta.localfield import MAX_ELEMENT_DIGITS
+    assert MAX_ELEMENT_DIGITS < 8000
+    start = time.perf_counter()
+    rc = main(["field", "--op", "div", "--a", _laurent_elem(8000),
+               "--b", _laurent_elem(10)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("ultrazeta: BudgetExceeded: ")
+    assert "8000 digits" in err
+    assert elapsed < 0.1
+
+
+def test_field_element_at_the_digit_budget_runs(tmp_path):
+    from ultrazeta.localfield import MAX_ELEMENT_DIGITS
+    report = tmp_path / "r.json"
+    a = _laurent_elem(MAX_ELEMENT_DIGITS)
+    assert main(["--report", str(report), "field", "--op", "div",
+                 "--a", a, "--b", a]) == 0
+    out = json.loads(report.read_text())["results"]["result"]
+    assert out["digits"] == [1] + [0] * (MAX_ELEMENT_DIGITS - 1)
+
+
+def _norms(tmp_path, g, argv):
+    src = tmp_path / "g.json"
+    src.write_text(g.to_json_text())
+    report = tmp_path / "r.json"
+    assert main(["--report", str(report)] + argv
+                + ["--input", str(src)]) == 0
+    return json.loads(report.read_text())["results"]
+
+
+@pytest.mark.parametrize("l", [700, 5000, -5000])
+def test_sobolev_norm_of_the_unit_ball_at_large_l(tmp_path, l):
+    # only the shell ||xi|| <= 1 is charged: [xi]^l never enters
+    g = GridFunction.indicator_ball(Qp(3), 1, 0, L=1, m=2)
+    out = _norms(tmp_path, g, ["sobolev", "--l", str(l)])
+    assert out["norm"]["value"] == 1.0
+
+
+@pytest.mark.parametrize("symbol", ["x1:1.5", "x1^2+x2^2:1.5"])
+def test_operator_norms_at_large_l_leave_uncharged_cells_out(tmp_path,
+                                                             symbol):
+    g = GridFunction.indicator_ball(Qp(3), 2, 0, L=1, m=1)
+    argv = ["op", "apply", "--symbol", symbol, "--out",
+            str(tmp_path / "T.json"), "--norms", "0", "700"]
+    norms = _norms(tmp_path, g, argv)["norms"]
+    assert norms["700"] == norms["0"]
+    assert 0 < norms["700"]["value"] < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sobolev", "--l", "600"],
+    ["op", "apply", "--symbol", "x1:1.5", "--norms", "600"],
+    ["op", "apply", "--symbol", "x1+1:0.5", "--norms", "600"]])
+@pytest.mark.parametrize("scale,l", [(1.0, 600), (1e3, 320)])
+def test_sobolev_norm_past_the_float_range_exits_two(tmp_path, capsys,
+                                                     argv, scale, l):
+    # l = 600: the weight 3^(2l) of the outer shell is inf already; l =
+    # 320: it is finite (3^640 < 1e306) and only its product with the
+    # shell energy passes the float range
+    g = random_grid(Qp(3), 1, 1, 2, np.random.default_rng(0))
+    g = GridFunction(g.field, g.n, g.L, g.m, g.values * scale)
+    argv = [str(l) if a == "600" else a for a in argv]
+    src = tmp_path / "g.json"
+    src.write_text(g.to_json_text())
+    if argv[0] == "op":
+        argv = argv + ["--out", str(tmp_path / "T.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a numpy warning is a second line
+        err = _one_line_exit_two(argv + ["--input", str(src)], capsys)
+    assert f"l = {l}" in err
+    assert not caught

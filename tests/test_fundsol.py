@@ -237,25 +237,21 @@ def test_division_check_fails_on_a_wrong_norm_exponent(monkeypatch, field,
 def test_division_check_fails_on_a_wrong_element_digit(monkeypatch, field,
                                                        bad, zero):
     from ultrazeta import fundsol
-    from ultrazeta.localfield import digits_of
 
-    build = fundsol._element_from_rep
+    build = fundsol.index_digits
 
-    def wrong_digit(fld, const, L, m, index):
-        if index != bad:
-            return build(fld, const, L, m, index)
-        digits = digits_of(bad, fld.q, L + m)
+    def wrong_digit(idx, p, width):
+        # the digit table of the axis representatives, wrong at index bad
+        out = build(idx, p, width)
+        digits = out[bad]
         low = next(t for t, d in enumerate(digits) if d)
         if zero:  # the only nonzero digit dropped: the zero element
             digits[low] = 0
         else:     # a unit digit below the first one: the order drops
             digits[low - 1] = 1
-        if fld.kind == "Qp":
-            return LocalFieldElement.from_digits(fld, -L, digits)
-        return LocalFieldElement.from_laurent_coeffs(
-            fld, {e - L: d for e, d in enumerate(digits)})
+        return out
 
-    monkeypatch.setattr(fundsol, "_element_from_rep", wrong_digit)
+    monkeypatch.setattr(fundsol, "index_digits", wrong_digit)
     rep = division_check(XI12, field)
     assert rep.trials == 80 * 80
     assert len(rep.failures) == 2 * 80 - 1

@@ -550,6 +550,10 @@ def test_n0_grids(field, exact):
     assert gh.values.shape == () and complex(gh.values[()]) == \
         complex(g.values[()])
     assert not np.shares_memory(gh.values, g.values)
+    # the integral over K^0 is the value itself, exact on exact grids
+    got = power_integral(g, [])
+    assert got == g.values[()] and type(got) is (Fraction if exact
+                                                 else complex)
 
 
 @pytest.mark.parametrize("field", [Qp(2), Qp(3), LaurentFp(2),

@@ -354,6 +354,16 @@ def test_brute_counts_at_a_large_prime(p):
     assert s.coeffs == (Fraction(p - 2, p),)
 
 
+@pytest.mark.parametrize("field", [Qp(2), LaurentFp(2)], ids=["Q2", "F2T"])
+@pytest.mark.parametrize("K", [7, 15])
+def test_brute_counts_where_the_cells_fill_a_small_dtype(field, K):
+    # n = 1, q = 2: the M = 2^(K+1) cells of the brute grid number exactly
+    # one more than the largest uint8 (K = 7) or uint16 (K = 15)
+    f = parse_polynomial("x1^2", 1)
+    assert igusa_series(f, field, K, method="brute") \
+        == igusa_series(f, field, K, method="lift")
+
+
 def test_lift_budget_stops_before_the_level_that_passes_it():
     # the whole frontier of a level is charged before any child of it is
     # evaluated, so the level and the message do not depend on the order
