@@ -231,15 +231,15 @@ def cmd_op_apply(args):
                                "alpha": complex(m.alpha)}
                               for m in T.multipliers],
                              sort_keys=True, default=_json_default)
-    # the payload {"base": ..., "multipliers": ...} with sorted keys
-    with open(args.output, "w") as fh:
-        fh.writelines(['{"base": ', T.base.to_json_text(dense=args.dense),
-                       ', "multipliers": ', multipliers, "}\n"])
-    norms = {}
+    norms = {}  # before the file is written: a refused norm writes none
     for l in args.norms or []:
         val, tail = sobolev_norm_with_tail(T, l)
         norms[str(l)] = {"value": val, "certified_tail": tail,
                          "mode": "spectral-cells"}
+    # the payload {"base": ..., "multipliers": ...} with sorted keys
+    with open(args.output, "w") as fh:
+        fh.writelines(['{"base": ', T.base.to_json_text(dense=args.dense),
+                       ', "multipliers": ', multipliers, "}\n"])
     return {"command": "op apply",
             "config": _cfg(args, ["input", "output", "symbol"]),
             "results": {"written": args.output, "norms": norms}}

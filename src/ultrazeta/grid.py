@@ -549,8 +549,9 @@ def hinf_metric(f: GridFunction, g: GridFunction, l_max=None) -> float:
     """max_l 2^{-l} ||f-g||_l / (1 + ||f-g||_l), from the shell energies
     of f - g.
 
-    With no l_max the cutoff is self-certifying: once 2^{-(l+1)} cannot
-    beat the running max no larger l can either, because x/(1+x) < 1.
+    The cutoff is self-certifying: once 2^{-(l+1)} cannot beat the
+    running max no larger l can either, because x/(1+x) < 1; l_max stops
+    the walk sooner.
     """
     cur = _shell_energies(f - g)
     if not cur.any():
@@ -562,9 +563,7 @@ def hinf_metric(f: GridFunction, g: GridFunction, l_max=None) -> float:
         nl = math.sqrt(float(np.sum(cur)))
         best = max(best, 2.0 ** (-l) * nl / (1.0 + nl))
         l += 1
-        if l_max is not None and l > l_max:
-            break
-        if l_max is None and 2.0 ** (-l) <= best:
+        if 2.0 ** (-l) <= best or l_max is not None and l > l_max:
             break
         cur *= w1
     return best
@@ -612,11 +611,20 @@ def _zero_cell_power(q: int, w, m: int, as_series=False, terms=40):
     return acc
 
 
-def _axis_power_weights(g: GridFunction, w, zero_mode="closed"):
+def _axis_power_weights(g: GridFunction, w, zero_mode="closed",
+                        exact=False):
     """Per-index weight: coset measure times |rep|^w, with the zero cell
-    integrated analytically (or left out, with ``zero_mode="skip"``)."""
+    integrated analytically (or left out, with ``zero_mode="skip"``);
+    ``exact`` (an int or Fraction w) gives Fractions, the zero cell in
+    closed form."""
     q = g.field.q
     f = g.field.ops.norm_exps(g.L, g.m)
+    if exact:
+        meas, we = Fraction(q) ** (-g.m), Fraction(w)
+        out = np.empty(g.Q, dtype=object)
+        out[1:] = [meas * Fraction(q) ** (int(e) * we) for e in f[1:]]
+        out[0] = 0 if zero_mode == "skip" else _zero_cell_power(q, we, g.m)
+        return out
     lnq = math.log(q)
     wc = complex(w)
     out = np.empty(g.Q, dtype=complex)
@@ -641,38 +649,20 @@ def power_integral(g: GridFunction, exponents, zero_mode="closed"):
             raise DivergentIntegral(
                 f"exponent {w[ax]} on coordinate {ax} diverges on the "
                 f"zero cell", multiplier=(ax, w[ax]))
-    if g.is_exact and all(isinstance(x, (int, Fraction)) for x in w):
-        return _power_integral_exact(g, w)
-    v = g.as_complex()
+    exact = g.is_exact and all(isinstance(x, (int, Fraction)) for x in w)
+    v = g.values if exact else g.as_complex()
     for ax in range(g.n):
         skip = complex(w[ax]).real <= -1  # g vanishes on that zero cell
-        wt = _axis_power_weights(g, w[ax], "skip" if skip else zero_mode)
+        wt = _axis_power_weights(g, w[ax], "skip" if skip else zero_mode,
+                                 exact)
         v = np.tensordot(v, wt, axes=([0], [0]))
-    return complex(v)
+    return v[()] if exact else complex(v)
 
 
 def _touches_hyperplane(v: np.ndarray, ax: int) -> bool:
     sl = [slice(None)] * v.ndim
     sl[ax] = 0
     return bool(np.any(v[tuple(sl)] != 0))
-
-
-def _power_integral_exact(g: GridFunction, w):
-    q = g.field.q
-    f = g.field.ops.norm_exps(g.L, g.m)
-    total = Fraction(0)
-    meas = Fraction(q) ** (-g.m)
-    for idx in map(tuple, np.argwhere(g.values)):  # (): the cell of n = 0
-        val = g.values[idx]
-        factor = Fraction(1)
-        for ax, i in enumerate(idx):
-            we = Fraction(w[ax])
-            if i == 0:
-                factor *= _zero_cell_power(q, we, g.m)
-            else:
-                factor *= meas * Fraction(q) ** (int(f[i]) * we)
-        total += Fraction(val) * factor
-    return total
 
 
 # -- spectral functions -------------------------------------------------------

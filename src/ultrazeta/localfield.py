@@ -189,44 +189,19 @@ class LocalFieldElement:
     @staticmethod
     def from_rational(field: FieldSpec, r, precision: int = DEFAULT_PRECISION,
                       ) -> "LocalFieldElement":
-        """Exact rational -> truncated expansion.
-
-        For F_p((T)) only rationals with p-power denominator embed (as
-        constants times powers of T they do not; we map the integer value
-        reduced mod p, so plain integers give residue constants).
-        """
+        """Exact rational -> truncated expansion.  Over F_p((T)) only
+        integers embed, as the residue constants n mod p."""
         r = Fraction(r)
         if r == 0:
             return LocalFieldElement.zero(field)
-        p = field.p
-        if field.kind == "Qp":
-            val = p_adic_ord(p, r)
-            num = r.numerator // p ** max(val, 0)
-            den = r.denominator // p ** max(-val, 0)
-            unit = num * pow(den, -1, p ** precision) % p ** precision
-            return _qp_from_unit(field, val, unit, precision)
-        # LaurentFp: constants only
-        if r.denominator != 1:
-            raise ValueError("only integers embed as F_p((T)) constants")
-        c = r.numerator % p
-        if c == 0:
-            return LocalFieldElement.zero(field)
-        return LocalFieldElement(field, 0,
-                                 (c,) + (0,) * (precision - 1))
+        return field.ops.from_rational(r, precision)
 
     @staticmethod
     def from_laurent_coeffs(field: FieldSpec, coeffs: dict,
                             precision: int = DEFAULT_PRECISION,
                             ) -> "LocalFieldElement":
         """F_p((T)) element from {exponent: coefficient}."""
-        if field.kind != "LaurentFp":
-            raise ValueError("from_laurent_coeffs needs a LaurentFp field")
-        nz = {e: c % field.p for e, c in coeffs.items() if c % field.p}
-        if not nz:
-            return LocalFieldElement.zero(field)
-        val = min(nz)
-        digits = [nz.get(val + i, 0) for i in range(precision)]
-        return LocalFieldElement(field, val, tuple(digits))
+        return field.ops.from_laurent_coeffs(coeffs, precision)
 
     # -- inspection --------------------------------------------------------
 
@@ -240,16 +215,13 @@ class LocalFieldElement:
 
     @property
     def known_to(self):
-        """First uniformizer exponent at which the digit is unknown."""
-        if self.is_zero:
-            return INFINITE
+        """First uniformizer exponent at which the digit is unknown (inf
+        for zero)."""
         return self.valuation + self.precision
 
     def digit_at(self, exp: int) -> int:
         """Digit of pi^exp; raises Inexact beyond the known range."""
-        if self.is_zero:
-            return 0
-        if exp < self.valuation:
+        if exp < self.valuation:  # every exp for zero
             return 0
         if exp >= self.known_to:
             raise Inexact(f"digit at exponent {exp} beyond precision")
@@ -262,18 +234,14 @@ class LocalFieldElement:
 
     def as_fraction(self) -> Fraction:
         """Exact rational value of the truncated representative (Qp only)."""
-        if self.field.kind != "Qp":
-            raise ValueError("as_fraction is only defined over Qp")
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self._unit) * Fraction(self.field.p) ** self.valuation
+        return self.field.ops.as_fraction(self)
 
     # -- arithmetic --------------------------------------------------------
 
     @cached_property
     def _unit(self) -> int:
         """sum d_i p^i over the digits; Q_p elements built from a unit
-        integer carry it from construction (see ``_qp_from_unit``)."""
+        integer carry it from construction (see ``_QpOps.from_unit``)."""
         p = self.field.p
         return sum(d * p ** i for i, d in enumerate(self.digits))
 
@@ -284,13 +252,7 @@ class LocalFieldElement:
     def __neg__(self):
         if self.is_zero:
             return self
-        p = self.field.p
-        if self.field.kind == "Qp":
-            u = (-self._unit) % p ** self.precision
-            return _qp_from_unit(self.field, self.valuation, u,
-                                 self.precision)
-        return LocalFieldElement(self.field, self.valuation,
-                                 tuple((-d) % p for d in self.digits))
+        return self.field.ops.neg(self)
 
     def __add__(self, other):
         self._check_same_field(other)
@@ -298,26 +260,15 @@ class LocalFieldElement:
             return other
         if other.is_zero:
             return self
-        p = self.field.p
         v = min(self.valuation, other.valuation)
         known = min(self.known_to, other.known_to)
-        width = known - v
-        if width <= 0:
+        if known <= v:
             raise Inexact("no overlapping known digits")
-        if self.field.kind == "Qp":
-            s = (self._unit * p ** (self.valuation - v)
-                 + other._unit * p ** (other.valuation - v))
-            s %= p ** width
-            if s == 0:
-                raise Inexact("sum indistinguishable from zero "
-                              "at current precision")
-            return _qp_from_unit_shifted(self.field, v, s, width)
-        digits = [(self.digit_at(e) + other.digit_at(e)) % p
-                  for e in range(v, known)]
-        if not any(digits):
+        out = self.field.ops.add(self, other, v, known)
+        if out is None:
             raise Inexact("sum indistinguishable from zero "
                           "at current precision")
-        return LocalFieldElement.from_digits(self.field, v, digits)
+        return out
 
     def __sub__(self, other):
         return self + (-other)
@@ -326,14 +277,9 @@ class LocalFieldElement:
         self._check_same_field(other)
         if self.is_zero or other.is_zero:
             return LocalFieldElement.zero(self.field)
-        p = self.field.p
         prec = min(self.precision, other.precision)
-        val = self.valuation + other.valuation
-        if self.field.kind == "Qp":
-            u = self._unit * other._unit % p ** prec
-            return _qp_from_unit(self.field, val, u, prec)
-        return LocalFieldElement(self.field, val, tuple(
-            fpt_mul(self.digits, other.digits, p, prec)))
+        return self.field.ops.mul(self, other,
+                                  self.valuation + other.valuation, prec)
 
     def __truediv__(self, other):
         self._check_same_field(other)
@@ -341,22 +287,9 @@ class LocalFieldElement:
             raise ZeroDivisionError("division by zero field element")
         if self.is_zero:
             return self
-        p = self.field.p
         prec = min(self.precision, other.precision)
-        val = self.valuation - other.valuation
-        if self.field.kind == "Qp":
-            inv = pow(other._unit % p ** prec, -1, p ** prec)
-            u = self._unit * inv % p ** prec
-            return _qp_from_unit(self.field, val, u, prec)
-        a, b = self.digits, other.digits
-        inv0 = pow(b[0], -1, p)
-        out = []
-        for k in range(prec):
-            acc = a[k] if k < len(a) else 0
-            for j in range(k):
-                acc -= out[j] * (b[k - j] if k - j < len(b) else 0)
-            out.append(acc * inv0 % p)
-        return LocalFieldElement(self.field, val, tuple(out))
+        return self.field.ops.div(self, other,
+                                  self.valuation - other.valuation, prec)
 
     # -- serialization -----------------------------------------------------
 
@@ -369,9 +302,11 @@ class LocalFieldElement:
     def from_json(obj: dict) -> "LocalFieldElement":
         """Inverse of ``to_json``: an object with a field object, ``val``
         an int, ``"inf"`` or null (zero), and ``digits`` a list of int
-        digits in 0..p-1.  Anything else raises ValueError naming the
-        first faulty field; more than MAX_ELEMENT_DIGITS digits raise
-        BudgetExceeded before any is read."""
+        digits in 0..p-1, whose valuation, val plus the leading zero
+        digits, has |.| <= _max_valuation(p).  Anything else raises
+        ValueError naming the first faulty field; more than
+        MAX_ELEMENT_DIGITS digits raise BudgetExceeded before any is
+        read."""
         if type(obj) is not dict:
             raise ValueError(f"a field element is a JSON object, not "
                              f"{reprlib.repr(obj)}")
@@ -387,10 +322,6 @@ class LocalFieldElement:
         if type(val) is not int and val not in ("inf", None):
             raise ValueError(f"element val must be an int, \"inf\" or null, "
                              f"not {reprlib.repr(val)}")
-        if type(val) is int and abs(val) > _max_valuation(fld.p):
-            raise ValueError(f"element val must lie within "
-                             f"+-{_max_valuation(fld.p)} for p = {fld.p}, "
-                             f"so that its norm prints")
         if type(digits) is not list:
             raise ValueError(f"element digits must be a list, not "
                              f"{reprlib.repr(digits)}")
@@ -404,30 +335,20 @@ class LocalFieldElement:
                                  f"int in 0..{fld.p - 1}")
         if val in ("inf", None):
             return LocalFieldElement.zero(fld)
-        return LocalFieldElement.from_digits(fld, val, digits)
+        x = LocalFieldElement.from_digits(fld, val, digits)
+        # the valuation after the leading zero digits
+        if not x.is_zero and abs(x.valuation) > _max_valuation(fld.p):
+            raise ValueError(f"element val must lie within "
+                             f"+-{_max_valuation(fld.p)} for p = {fld.p}, "
+                             f"so that its norm prints")
+        return x
 
     def __repr__(self):
         if self.is_zero:
             return f"0 ({self.field.kind}, p={self.field.p})"
-        pi = "T" if self.field.kind == "LaurentFp" else str(self.field.p)
         head = ",".join(str(d) for d in self.digits[:6])
         tail = ".." if self.precision > 6 else ""
-        return f"({head}{tail})*{pi}^{self.valuation}"
-
-
-def _qp_from_unit(field, val, unit, prec):
-    """The Q_p element p^val * unit, for a unit 0 < unit < p^prec prime to
-    p; it keeps ``unit``, so products never rebuild it from the digits."""
-    out = LocalFieldElement(field, val, tuple(digits_of(unit, field.p, prec)))
-    out.__dict__["_unit"] = unit
-    return out
-
-
-def _qp_from_unit_shifted(field, val, s, width):
-    """Integer s known mod p^width at base valuation val; normalize."""
-    shift = p_adic_ord(field.p, s)
-    return _qp_from_unit(field, val + shift, s // field.p ** shift,
-                         width - shift)
+        return f"({head}{tail})*{self.field.ops.symbol}^{self.valuation}"
 
 
 # -- module operations ------------------------------------------------------
@@ -479,8 +400,6 @@ def fpt_mul(a, b, p: int, trunc: int) -> list:
 
 def valuation_and_norm(x: LocalFieldElement):
     """(ord(x), |x|_K) with the zero convention (inf, 0)."""
-    if x.is_zero:
-        return INFINITE, Fraction(0)
     return x.valuation, x.norm()
 
 
@@ -504,21 +423,9 @@ def char_fraction(x: LocalFieldElement) -> Fraction:
     (coefficient of T^-1)/p.  Requires every negative-exponent digit of x
     to be resolved.
     """
-    if x.is_zero:
+    if x.is_zero or x.valuation >= 0:
         return Fraction(0)
-    if x.field.kind == "Qp":
-        if x.valuation >= 0:
-            return Fraction(0)
-        if x.known_to < 0:
-            raise Inexact("negative-exponent digits not fully resolved")
-        # sum_{v <= j < 0} d_j p^j = (the unit's first -v digits) / p^-v
-        pk = x.field.p ** -x.valuation
-        return Fraction(x._unit % pk, pk)
-    if x.valuation > -1:
-        return Fraction(0)
-    if x.known_to <= -1:
-        raise Inexact("coefficient of T^-1 not resolved")
-    return Fraction(x.digit_at(-1), x.field.p)
+    return x.field.ops.char_fraction(x)
 
 
 def char_fraction_of_rational(p: int, r) -> Fraction:
@@ -626,8 +533,10 @@ def _field_ops(field):
 
 
 class _FieldOps:
-    """Operations on coset grids, integers and polynomials that differ
-    between the two fields, reached as ``FieldSpec.ops``.
+    """Operations on elements, coset grids, integers and polynomials that
+    differ between the two fields, reached as ``FieldSpec.ops``.  Element
+    rules get nonzero operands and the valuation and precision of the
+    result; ``add`` returns None for a sum that vanishes at its precision.
 
     A coset grid with support exponent L and resolution m indexes the
     representatives of pi^{-L} R_K / pi^m R_K on each axis by
@@ -661,8 +570,64 @@ class _FieldOps:
 
 
 class _QpOps(_FieldOps):
-    """Q_p: an axis index or a cell is a p-adic integer, so negation
-    carries, and the transform is one DFT of Z/q^{L+m} per axis."""
+    """Q_p: an element is p^val times its unit integer, an axis index or
+    a cell is a p-adic integer, so negation carries, and the transform is
+    one DFT of Z/q^{L+m} per axis."""
+
+    #: the uniformizer as ``repr`` prints it
+    symbol = property(lambda self: str(self.p))
+
+    def from_unit(self, val, unit, prec):
+        """p^val * unit, for a unit 0 < unit < p^prec prime to p; it keeps
+        ``unit``, so products never rebuild it from the digits."""
+        out = LocalFieldElement(self.field, val,
+                                tuple(digits_of(unit, self.p, prec)))
+        out.__dict__["_unit"] = unit
+        return out
+
+    def from_rational(self, r: Fraction, precision: int):
+        p = self.p
+        val = p_adic_ord(p, r)
+        num = r.numerator // p ** max(val, 0)
+        den = r.denominator // p ** max(-val, 0)
+        unit = num * pow(den, -1, p ** precision) % p ** precision
+        return self.from_unit(val, unit, precision)
+
+    def from_laurent_coeffs(self, coeffs, precision):
+        raise ValueError("from_laurent_coeffs needs a LaurentFp field")
+
+    def as_fraction(self, x) -> Fraction:
+        if x.is_zero:
+            return Fraction(0)
+        return Fraction(x._unit) * Fraction(self.p) ** x.valuation
+
+    def neg(self, x):
+        return self.from_unit(x.valuation, (-x._unit) % self.p ** x.precision,
+                              x.precision)
+
+    def add(self, a, b, v, known):
+        p, width = self.p, known - v
+        s = (a._unit * p ** (a.valuation - v)
+             + b._unit * p ** (b.valuation - v)) % p ** width
+        if s == 0:
+            return None
+        shift = p_adic_ord(p, s)
+        return self.from_unit(v + shift, s // p ** shift, width - shift)
+
+    def mul(self, a, b, val, prec):
+        return self.from_unit(val, a._unit * b._unit % self.p ** prec, prec)
+
+    def div(self, a, b, val, prec):
+        pk = self.p ** prec
+        return self.from_unit(val, a._unit * pow(b._unit % pk, -1, pk) % pk,
+                              prec)
+
+    def char_fraction(self, x) -> Fraction:
+        if x.known_to < 0:
+            raise Inexact("negative-exponent digits not fully resolved")
+        # sum_{v <= j < 0} d_j p^j = (the unit's first -v digits) / p^-v
+        pk = self.p ** -x.valuation
+        return Fraction(x._unit % pk, pk)
 
     def int_ord(self, c: int):
         """Order of the integer c in Q_p: v_p(c), None at 0."""
@@ -848,9 +813,64 @@ def _ord_table(p: int, c: int) -> np.ndarray:
 
 
 class _LaurentOps(_FieldOps):
-    """F_p((T)): an axis index or a cell is a digit vector, so negation is
-    digitwise, with no carry, and the transform is a tensor power of
-    p-point DFTs."""
+    """F_p((T)): an element, an axis index or a cell is a digit vector, so
+    negation is digitwise, with no carry, and the transform is a tensor
+    power of p-point DFTs."""
+
+    #: the uniformizer as ``repr`` prints it
+    symbol = "T"
+
+    def from_rational(self, r: Fraction, precision: int):
+        if r.denominator != 1:
+            raise ValueError("only integers embed as F_p((T)) constants")
+        c = r.numerator % self.p
+        if c == 0:
+            return LocalFieldElement.zero(self.field)
+        return LocalFieldElement(self.field, 0,
+                                 (c,) + (0,) * (precision - 1))
+
+    def from_laurent_coeffs(self, coeffs, precision):
+        nz = {e: c % self.p for e, c in coeffs.items() if c % self.p}
+        if not nz:
+            return LocalFieldElement.zero(self.field)
+        val = min(nz)
+        return LocalFieldElement(self.field, val, tuple(
+            nz.get(val + i, 0) for i in range(precision)))
+
+    def as_fraction(self, x):
+        raise ValueError("as_fraction is only defined over Qp")
+
+    def neg(self, x):
+        return LocalFieldElement(self.field, x.valuation,
+                                 tuple((-d) % self.p for d in x.digits))
+
+    def add(self, a, b, v, known):
+        digits = [(a.digit_at(e) + b.digit_at(e)) % self.p
+                  for e in range(v, known)]
+        if not any(digits):
+            return None
+        return LocalFieldElement.from_digits(self.field, v, digits)
+
+    def mul(self, a, b, val, prec):
+        return LocalFieldElement(self.field, val, tuple(
+            fpt_mul(a.digits, b.digits, self.p, prec)))
+
+    def div(self, a, b, val, prec):
+        # long division of the digit sequences, T^0 upwards
+        p, a, b = self.p, a.digits, b.digits
+        inv0 = pow(b[0], -1, p)
+        out = []
+        for k in range(prec):
+            acc = a[k] if k < len(a) else 0
+            for j in range(k):
+                acc -= out[j] * (b[k - j] if k - j < len(b) else 0)
+            out.append(acc * inv0 % p)
+        return LocalFieldElement(self.field, val, tuple(out))
+
+    def char_fraction(self, x) -> Fraction:
+        if x.known_to <= -1:
+            raise Inexact("coefficient of T^-1 not resolved")
+        return Fraction(x.digit_at(-1), self.p)
 
     def int_ord(self, c: int):
         """Order of the integer c in F_p((T)), where p = 0: 0, or None

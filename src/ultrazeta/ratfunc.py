@@ -447,7 +447,7 @@ class _WSeries:
 
     def __init__(self, terms, trunc):
         self.terms = {k: v for k, v in terms.items()
-                      if k <= trunc and not _coeff_is_zero(v)}
+                      if k <= trunc and v != 0}
         self.trunc = trunc
 
     def __add__(self, other):
@@ -499,15 +499,9 @@ class _WSeries:
                 unit_inv[k] = -acc
         out = {}
         for k, v in unit_inv.items():
-            if not _coeff_is_zero(v):
+            if v != 0:
                 out[k - lo] = c0_inv * v
         return _WSeries(out, self.trunc - 2 * lo)
-
-
-def _coeff_is_zero(v):
-    if isinstance(v, LambdaPoly):
-        return v.is_zero
-    return v == 0
 
 
 def _coeff_inverse(v):

@@ -120,6 +120,86 @@ def field_ops() -> dict:
     return out
 
 
+def _refusal(fn, *args):
+    """fn(*args), or "<error type>: <message>" for the package errors and
+    the ValueError, TypeError and ZeroDivisionError it raises."""
+    try:
+        return fn(*args)
+    except (UltrazetaError, ValueError, TypeError,
+            ZeroDivisionError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _json(x):
+    return x if isinstance(x, str) else x.to_json()
+
+
+def elements() -> dict:
+    """Element rules on Q_2, Q_7, F_2((T)) and F_7((T)): the seven
+    ``field`` operations, negation, exact value and repr on 12 pairs from
+    digits and 12 from rationals (Q_p) or Laurent coefficients
+    (F_p((T))); rationals with and without p in the denominator, integers
+    and Laurent coefficients; and each refusal by type and message."""
+    out = {}
+    rng = np.random.default_rng(19)
+    for field in (Qp(2), Qp(7), LaurentFp(2), LaurentFp(7)):
+        p, key = field.p, f"{field.kind}{field.p}"
+        rationals = [Fraction(0), Fraction(1), Fraction(-1), Fraction(p),
+                     Fraction(-3 * p ** 2), Fraction(1, p),
+                     Fraction(-5, p ** 3), Fraction(2, 3 * p + 1),
+                     Fraction(p + 2, 5 * p ** 2), Fraction(4 * p, 9),
+                     Fraction(p ** 4 - 1, p + 4)]
+        for j, r in enumerate(rationals):
+            for prec in (1, 4, 12):
+                x = _refusal(LocalFieldElement.from_rational, field, r, prec)
+                out[f"{key}/rational/{j}/{prec}"] = _json(x)
+        for j, n in enumerate((0, 1, -1, p, -p ** 3, 2 * p + 1, 10 ** 9)):
+            x = LocalFieldElement.from_int(field, n, 6)
+            out[f"{key}/int/{j}"] = [x.to_json(), repr(x)]
+        for j, coeffs in enumerate(({0: 1}, {0: p}, {-2: 1, 0: 3, 5: p - 1},
+                                    {3: 2 * p + 1, 4: -1}, {-1: p + 1})):
+            for prec in (1, 6):
+                x = _refusal(LocalFieldElement.from_laurent_coeffs, field,
+                             coeffs, prec)
+                out[f"{key}/laurent/{j}/{prec}"] = _json(x)
+        pairs = []
+        for i in range(12):
+            pairs.append((_element(rng, field), _element(rng, field)))
+        for i in range(12):
+            prec = int(rng.integers(1, 10))
+            if field.kind == "Qp":
+                pairs.append(tuple(LocalFieldElement.from_rational(
+                    field, Fraction(int(rng.integers(-99, 100)),
+                                    int(p ** rng.integers(0, 3)
+                                        * rng.integers(1, 20))), prec)
+                    for _ in range(2)))
+            else:
+                pairs.append(tuple(LocalFieldElement.from_laurent_coeffs(
+                    field, dict(zip(rng.integers(-4, 6, 4).tolist(),
+                                    rng.integers(-9, 10, 4).tolist())), prec)
+                    for _ in range(2)))
+        for i, (a, b) in enumerate(pairs):
+            if i % 6 == 5:  # equal operands: sub cancels every digit
+                b = a
+            k = f"{key}/{i}"
+            v, nrm = valuation_and_norm(a)
+            out[f"{k}/valuation"] = [str(v), str(nrm)]
+            out[f"{k}/char"] = str(_refusal(char_fraction, a))
+            out[f"{k}/fraction"] = str(_refusal(a.as_fraction))
+            out[f"{k}/neg"] = (-a).to_json()
+            out[f"{k}/repr"] = [repr(a), repr(b)]
+            for op in ("add", "sub", "mul", "div"):
+                out[f"{k}/{op}"] = _json(_refusal(field_arith, a, b, op))
+        other = LocalFieldElement.from_int(
+            LaurentFp(p) if field.kind == "Qp" else Qp(p), 1)
+        one = LocalFieldElement.from_int(field, 1)
+        out[f"{key}/mixed"] = _refusal(field_arith, one, other, "add")
+        out[f"{key}/coord"] = str(_refusal(field.ops.coord_index,
+                                           Fraction(1, p), 1, 1))
+        out[f"{key}/zero"] = repr(LocalFieldElement.zero(field))
+    return out
+
+
 def eval_fpt() -> dict:
     out = {}
     rng = np.random.default_rng(5)
@@ -242,8 +322,8 @@ def reports() -> dict:
     return out
 
 
-SECTIONS = {"tables": tables, "field_ops": field_ops, "eval_fpt": eval_fpt,
-            "rational": rational, "reports": reports}
+SECTIONS = {"tables": tables, "field_ops": field_ops, "elements": elements,
+            "eval_fpt": eval_fpt, "rational": rational, "reports": reports}
 
 
 def dump(corpus: dict) -> str:

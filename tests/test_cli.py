@@ -348,6 +348,29 @@ def test_field_val_whose_norm_cannot_print_exits_two(tmp_path, capsys, val):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("op", ["norm", "valuation"])
+def test_field_val_past_the_bound_after_leading_zeros_exits_two(
+        tmp_path, capsys, op):
+    # val 8383 is in bounds, but 1,999 leading zero digits make the
+    # valuation 10,382
+    report = tmp_path / "r.json"
+    err = _one_line_exit_two(["--report", str(report), "field", "--op", op,
+                              "--a", _qp_elem(3, 8383, [0] * 1999 + [1])],
+                             capsys)
+    assert "element val must lie within +-8383 for p = 3" in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("op", ["norm", "valuation"])
+def test_field_val_at_the_bound_after_leading_zeros_prints(tmp_path, op):
+    report = tmp_path / "r.json"
+    assert main(["--report", str(report), "field", "--op", op, "--a",
+                 _qp_elem(3, 8383 - 1999, [0] * 1999 + [1])]) == 0
+    results = json.loads(report.read_text())["results"]
+    assert results["valuation"] == 8383
+    assert results["norm"] == str(Fraction(1, 3 ** 8383))
+
+
 def test_field_largest_val_prints(tmp_path):
     report = tmp_path / "r.json"
     assert main(["--report", str(report), "field", "--op", "norm",
@@ -614,3 +637,14 @@ def test_sobolev_norm_past_the_float_range_exits_two(tmp_path, capsys,
         err = _one_line_exit_two(argv + ["--input", str(src)], capsys)
     assert f"l = {l}" in err
     assert not caught
+
+
+def test_op_apply_refused_norm_writes_no_output(tmp_path, capsys):
+    g = random_grid(Qp(3), 1, 1, 2, np.random.default_rng(0))
+    src, out = tmp_path / "g.json", tmp_path / "T.json"
+    src.write_text(g.to_json_text())
+    err = _one_line_exit_two(["op", "apply", "--symbol", "x1:1.0",
+                              "--input", str(src), "--out", str(out),
+                              "--norms", "0", "600"], capsys)
+    assert "l = 600" in err
+    assert not out.exists()

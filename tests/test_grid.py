@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,22 @@ def test_metric_lmax_truncation():
     assert hinf_metric(a, b, l_max=40) == pytest.approx(hinf_metric(a, b))
 
 
+@pytest.mark.parametrize("l_max", [0, 3, 700])
+def test_metric_lmax_stops_before_overflow(l_max):
+    # no later term beats 2^-l <= best, so the walk stops there whatever
+    # l_max says; at l = 700 the weights would pass the float range
+    rng = np.random.default_rng(23)
+    a, b = (random_grid(F3, 1, 1, 2, rng) for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = hinf_metric(a, b, l_max=l_max)
+        full = hinf_metric(a, b)
+    if l_max >= 3:
+        assert got == full
+    else:
+        assert 0 < got <= full
+
+
 def test_convolution_identities():
     rng = np.random.default_rng(11)
     g = random_grid(F3, 1, 1, 1, rng)
@@ -406,6 +423,36 @@ def test_power_integral_divergence_guard():
     g = GridFunction.indicator_ball(F3, 1, 0, L=1, m=1)
     with pytest.raises(DivergentIntegral):
         power_integral(g, [-1.2])
+
+
+def _zero_cell_reference(q, w, m):
+    """integral over B_{-m} of |x|^w: sum over the spheres |x| = q^-j,
+    j >= m, of measure (1 - 1/q) q^-j, a geometric series."""
+    r = Fraction(q) ** -(w + 1)
+    return (1 - Fraction(1, q)) * r ** m / (1 - r)
+
+
+@pytest.mark.parametrize("field", [Qp(3), LaurentFp(2)])
+@pytest.mark.parametrize("n, w", [(1, [0]), (1, [3]), (1, [-2]),
+                                  (2, [1, 2]), (2, [-3, 0])])
+def test_exact_power_integral_matches_per_cell_sum(field, n, w):
+    rng = np.random.default_rng(24)
+    L, m, q = 1, 2, field.q
+    g = _exact_grid(field, n, L, m, rng)
+    for ax, e in enumerate(w):
+        if e <= -1:  # the integral converges only off that zero slab
+            g.values[(slice(None),) * ax + (0,)] = Fraction(0)
+    want = Fraction(0)
+    for idx in np.ndindex(g.values.shape):
+        cell = g.values[idx]
+        for i, e in zip(idx, w):
+            if i == 0:
+                cell *= _zero_cell_reference(q, e, m) if e > -1 else 0
+            else:  # |i / p^L| = q^(L - ord i), measure q^-m
+                cell *= Fraction(q) ** ((L - p_adic_ord(q, i)) * e - m)
+        want += cell
+    got = power_integral(g, w)
+    assert type(got) is Fraction and got == want
 
 
 def _per_cell_json_values(g, dense):

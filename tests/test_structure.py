@@ -1,10 +1,11 @@
 """Layering rules of the package, checked on its source.
 
 Only ``localfield`` tells Q_p from F_p((T)); every other module asks the
-field layer (``FieldSpec.ops``).  No module reaches into another module's
-private names, and every name the package exports is used by the engine
-or the tests.  The benchmark's span tracer finds every entry point it
-wraps.
+field layer (``FieldSpec.ops``), and inside ``localfield`` only the kind
+check and the selector of ``FieldSpec.ops`` compare the field kind.  No
+module reaches into another module's private names, and every name the
+package exports is used by the engine or the tests.  The benchmark's span
+tracer finds every entry point it wraps.
 """
 
 import ast
@@ -37,6 +38,37 @@ def test_only_the_field_layer_reads_the_field_kind(path):
     reads = [node.lineno for node in ast.walk(_tree(path))
              if isinstance(node, ast.Attribute) and node.attr == "kind"]
     assert reads == [], f"{path.name} reads .kind on lines {reads}"
+
+
+# the only places of ``localfield`` that compare the field kind: the kind
+# check and the selector of ``FieldSpec.ops``
+KIND_SELECTORS = {"FieldSpec.__post_init__", "_field_ops"}
+
+
+def _kind_comparisons(tree, scope=""):
+    """(enclosing function, line) of every comparison that reads .kind."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            name = f"{scope}.{node.name}" if scope else node.name
+            out += _kind_comparisons(node, name)
+            continue
+        if isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "kind"
+                for sub in ast.walk(node)):
+            out.append((scope, node.lineno))
+        out += _kind_comparisons(node, scope)
+    return out
+
+
+def test_the_field_layer_compares_the_kind_only_in_its_selector():
+    found = _kind_comparisons(_tree(SRC / "localfield.py"))
+    outside = [(scope, line) for scope, line in found
+               if scope not in KIND_SELECTORS]
+    assert outside == [], f"localfield compares .kind outside " \
+        f"{sorted(KIND_SELECTORS)}: {outside}"
+    assert {scope for scope, _ in found} == KIND_SELECTORS
 
 
 def _private_imports(path):
