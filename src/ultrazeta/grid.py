@@ -44,7 +44,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, DivergentIntegral, UnsupportedPolynomial
 from .intpoly import IntPolynomial
-from .localfield import ZERO_SENTINEL, FieldSpec, index_digits
+from .localfield import KERNEL_BLOCK, ZERO_SENTINEL, FieldSpec, \
+    index_digits
 
 # Most cells GridFunction.zeros and embed allocate: 2 GiB of complex128.
 MAX_GRID_CELLS = 2 ** 27
@@ -374,24 +375,14 @@ def embed(g: GridFunction, L: int, m: int) -> GridFunction:
         raise ValueError("embedding cannot shrink the grid")
     _check_grid_cells(g.field.q, g.n, L + m)
     q = g.field.q
-    Q2 = q ** (L + m)
     low = q ** (L - g.L)
-    mid = q ** (g.L + g.m)
-    idx = np.arange(Q2, dtype=np.int64)
-    src = (idx // low) % mid
-    keep = (idx % low) == 0
-    v = g.values
-    for ax in range(g.n):
-        v = np.take(v, src, axis=ax)
-    if not keep.all():
-        mask = np.ones((Q2,) * g.n, dtype=bool)
-        for ax in range(g.n):
-            shape = [1] * g.n
-            shape[ax] = Q2
-            mask &= keep.reshape(shape)
-        zero = Fraction(0) if g.is_exact else 0.0
-        v = v.copy()
-        v[~mask] = zero
+    # the new indices whose low L - g.L digits vanish lie in B_{g.L}; the
+    # digits past g.m do not move the old cell
+    keep = np.arange(0, q ** (L + m), low, dtype=np.int64)
+    src = keep // low % q ** (g.L + g.m)
+    v = np.full((q ** (L + m),) * g.n, Fraction(0) if g.is_exact else 0.0,
+                g.values.dtype)
+    v[np.ix_(*[keep] * g.n)] = g.values[np.ix_(*[src] * g.n)]
     return GridFunction(g.field, g.n, L, m, v)
 
 
@@ -585,19 +576,14 @@ def _zero_cell_power(q: int, w, m: int, as_series=False, terms=40):
     Closed geometric form by default; ``as_series`` sums spheres
     explicitly and closes the tail, giving an independent route.
     """
-    if isinstance(w, (int, Fraction)):
-        wr = Fraction(w)
-        if wr <= -1:
-            raise DivergentIntegral(f"|xi|^{w} not integrable near 0",
-                                    multiplier=w)
-        if not as_series:
-            qq = Fraction(q)
-            return (1 - 1 / qq) * qq ** (-m * (wr + 1)) \
-                / (1 - qq ** (-(wr + 1)))
-    wc = complex(w)
-    if wc.real <= -1:
+    rational = isinstance(w, (int, Fraction))
+    if (w if rational else complex(w).real) <= -1:
         raise DivergentIntegral(f"|xi|^{w} not integrable near 0",
                                 multiplier=w)
+    if rational and not as_series:
+        qq = Fraction(q)
+        return (1 - 1 / qq) * qq ** (-m * (w + 1)) / (1 - qq ** (-(w + 1)))
+    wc = complex(w)
     lnq = math.log(q)
     if not as_series:
         return (1 - 1.0 / q) * cmath.exp(-m * (wc + 1) * lnq) \
@@ -649,7 +635,9 @@ def power_integral(g: GridFunction, exponents, zero_mode="closed"):
             raise DivergentIntegral(
                 f"exponent {w[ax]} on coordinate {ax} diverges on the "
                 f"zero cell", multiplier=(ax, w[ax]))
-    exact = g.is_exact and all(isinstance(x, (int, Fraction)) for x in w)
+    # exact only for integral exponents: q^(k w) is a Fraction just then
+    exact = g.is_exact and all(isinstance(x, (int, Fraction))
+                               and x.denominator == 1 for x in w)
     v = g.values if exact else g.as_complex()
     for ax in range(g.n):
         skip = complex(w[ax]).real <= -1  # g vanishes on that zero cell
@@ -807,127 +795,161 @@ def dual_norm(T, m: int) -> float:
     return math.sqrt(max(sq, 0.0))
 
 
-# -- general polynomial multipliers (PATH B, Q_p) ------------------------------
+# -- general polynomial multipliers --------------------------------------------
 
-@lru_cache(maxsize=None)
-def _cell_volume(p: int, e: int) -> float:
-    """p^-e as the float nearest the exact rational."""
-    return float(Fraction(p) ** (-e))
+def _homogenised(g: IntPolynomial):
+    """(H, deg g), H(x, z) = sum c x^e z^(deg g - |e|) over the terms of g:
+    ord g(X / pi^D) = ord H(X, p^D) - D deg g, as p^D encodes pi^D."""
+    deg = max(g.degree(), 0)
+    return IntPolynomial.make(g.n + 1, {e + (deg - sum(e),): c
+                                        for e, c in g.terms}), deg
+
+
+def _symbol_factor(h: IntPolynomial, ops):
+    """(top, deg, h, parts): deg is h's degree in the field, top the least
+    order of its coefficients of that degree (Hasse derivatives of h, None
+    if h = 0), and parts the (|gamma|, D^gamma h) of the Hasse derivatives
+    nonzero in the field, a constant one kept as its order."""
+    terms = {e: c for e, c in h.terms if ops.int_ord(c) is not None}
+    deg = max(map(sum, terms), default=0)
+    if not deg and not h.is_constant:
+        raise ValueError(f"symbol {h} is constant in the field")
+    h = IntPolynomial.make(h.n, terms)
+    parts = [(sum(gamma), ops.int_ord(dh.terms[0][1]) if dh.is_constant
+              else _homogenised(dh))
+             for gamma, dh in h.hasse_derivatives()
+             if any(ops.int_ord(c) is not None for c in dh.coefficients())]
+    top = min((ops.int_ord(c) for e, c in terms.items() if sum(e) == deg),
+              default=None)
+    return top, deg, _homogenised(h), parts
 
 
 def _poly_weighted_integral(carrier: GridFunction, mults, tol=1e-12,
-                            max_cells=2_000_000):
+                            max_cells=2_000_000, max_depth=1000):
     """Sum over carrier cells of value * integral_cell prod |h_j|^{beta_j}.
 
-    Certified adaptive refinement for Q_p: on each cell a factor is either
-    constant (its value dominates every Hasse-derivative perturbation),
-    closed by the smooth-zero pushforward (unit-gradient at cell scale), or
-    the cell is subdivided; unresolved mass at the depth cap is bounded and
-    reported as the tail.  Requires Re(beta_j) > 0.
+    Certified adaptive refinement, a level of cells at a time: on each cell
+    a factor is either constant (its value dominates every Hasse-derivative
+    perturbation), closed by the smooth-zero pushforward (unit gradient at
+    cell scale), or the cell splits; a cell whose sup bound is below its
+    share of tol adds that bound to the tail.  Needs Re(beta_j) > 0.  Split
+    1 + max_cells / q^n, or one at depth max_depth, raises BudgetExceeded
+    (there a cell's share of tol is at most tol 2^-1000, past any useful
+    tail, and near the float range).  A cell X / pi^L + pi^M R^n is the integer
+    vector X; its orders come from the order kernel capped at
+    top + M deg + 1 (see ``_symbol_factor``), past every perturbation bound,
+    so no decision changes and a zero reads as the cap.  Split cells sum
+    their children in ``np.ndindex`` order.
     """
-    # every cell centre is X / p^L with X an integer vector; the field
-    # layer refuses F_p((T)) here
-    ops, D = carrier.field.ops, carrier.L
-    hasse = [(h, b, ops.scaled_terms(h, D),
-              [(sum(gamma), ops.scaled_terms(dh, D))
-               for gamma, dh in h.hasse_derivatives()])
-             for h, b in mults]
+    ops, p, D, n = carrier.field.ops, carrier.field.p, carrier.L, carrier.n
+    factors = [_symbol_factor(h, ops) for h, _ in mults]
     for h, b in mults:
         if complex(b).real <= 0:
             raise DivergentIntegral(
                 "general symbols need positive real exponent", multiplier=h)
-    total = 0.0 + 0.0j
-    tail = 0.0
-    budget = [max_cells]
-    cells = list(zip(*np.nonzero(carrier.values)))
-    tol_cell = tol / max(1, len(cells))
-    for idx in cells:
-        val = complex(carrier.values[idx])
-        X = tuple(int(i) for i in idx)
-        cval, ctail = _cell_poly_integral(ops, hasse, X, D, carrier.m,
-                                          tol_cell, budget)
+    nz = np.nonzero(carrier.values)
+    cells = np.array(nz, dtype=np.int64).reshape(n, -1)
+    for (h, _), (top, *_) in zip(mults, factors):
+        if top is None and cells.size:
+            raise DivergentIntegral(
+                "symbol vanishes identically on a charged cell",
+                multiplier=h)
+    children = p ** n
+    digits = np.indices((p,) * n).reshape(n, -1)
+    tol /= max(1, cells.shape[1])
+    levels, M = [], carrier.m  # (values, tails, split cells) per level
+    while cells.shape[1]:
+        rule, vol = {}, float(Fraction(p) ** (-M * n))  # correctly rounded
+        vals, tails, split = (np.concatenate(x) for x in zip(*(
+            _refine_cells(factors, mults, ops, cells[:, lo:lo + KERNEL_BLOCK],
+                          D, M, vol, tol, rule)
+            for lo in range(0, cells.shape[1], KERNEL_BLOCK))))
+        levels.append((vals, tails, np.flatnonzero(split)))
+        splits = sum(len(at) for *_, at in levels)
+        if split.any() and ((splits - 1) * children >= max_cells
+                            or M - carrier.m >= max_depth):
+            raise BudgetExceeded("refinement budget exhausted before the "
+                                 "certified tolerance was reached")
+        step = p ** (M + D)
+        if step * p >= 2 ** 63:  # children past int64: Python ints
+            cells, digits = cells.astype(object), digits.astype(object)
+        cells = (cells[:, split, None] + digits[:, None, :] * step
+                 ).reshape(n, -1)
+        M += 1
+        tol /= children
+    # deepest level first, each split cell adds up its children
+    for (vals, tails, split), (kv, kt, _) in zip(levels[-2::-1],
+                                                  levels[:0:-1]):
+        for c in range(children):
+            vals[split] += kv[c::children]
+            tails[split] += kt[c::children]
+    total, tail = 0.0 + 0.0j, 0.0
+    for val, cval, ctail in zip(map(complex, carrier.values[nz].tolist()), *(
+            x.tolist() for x in levels[0][:2])) if levels else ():
         total += val * cval
         tail += abs(val) * ctail
     return total, tail
 
 
-def _cell_poly_integral(ops, hasse, X, D, M, tol, budget):
-    """integral over X / p^D + B_{-M}^n of prod |h_j|^{beta_j}.
+def _refine_cells(factors, mults, ops, cells, D, M, vol, tol, rule):
+    """(values, tails, split) on the cells of level M, split ones left at 0
+    for their children; each pattern's outcome is kept in ``rule``."""
+    N = cells.shape[1]
+    points = np.vstack([cells, np.full((1, N), ops.p ** D, cells.dtype)])
 
-    Per factor the cell is classified: ``const`` when |h(center)| beats
-    every Hasse perturbation, ``smooth`` when the linear term dominates
-    (the pushforward of Haar measure is then uniform on a coset, closing
-    the valuation distribution in closed form), otherwise it splits.
-    """
-    n, p = len(X), ops.p
+    def capped(g, cap):  # min(ord g(X / pi^D), cap), a constant's as is
+        if not isinstance(g, tuple):
+            return cap if g is None else min(g, cap)
+        return ops.poly_ords(g[0], points, cap + D * g[1]) - D * g[1]
+    status, ords = [], []
+    key = np.zeros(N, np.int64)  # numbers the patterns
+    for top, deg, h, parts in factors:
+        cap = top + M * deg + 1
+        oc = capped(h, cap)
+        least = [cap, cap]  # perturbations of order one, and of higher order
+        for size, g in parts:
+            least[size > 1] = np.minimum(least[size > 1],
+                                         capped(g, cap - M * size) + M * size)
+        lin, higher = least
+        pert = np.minimum(lin, higher)
+        const = oc < pert
+        smooth = ~const & (lin < higher) & (oc >= lin)
+        status.append(np.where(const, 0, np.where(smooth, 1, 2)))
+        ords.append(np.where(const, oc,
+                             np.where(smooth, lin, np.minimum(oc, pert))))
+        width = cap + D * deg + 1  # every order lies in [-D deg, cap]
+        key = np.unique(key, return_inverse=True)[1].reshape(-1) * 3 * width \
+            + status[-1] * width + ords[-1] + D * deg
+    _, first, at = np.unique(key, return_index=True, return_inverse=True)
+    rows = list(map(tuple, np.array(status + ords)[:, first].T.tolist()))
+    rule.update({row: _cell_outcome(row, mults, ops.p, vol, tol)
+                 for row in rows if row not in rule})
+    return (np.array(x)[at.reshape(-1)]
+            for x in zip(*(rule[row] for row in rows)))
+
+
+def _cell_outcome(row, mults, p, vol, tol):
+    """(value, tail, split) of a cell of measure vol whose factors have the
+    statuses row[:k] (0 constant, 1 smooth, 2 split) and the orders
+    row[k:]: a closed value, or a tail below tol, or a split."""
+    status, ords = row[:len(mults)], row[len(mults):]
     lnp = math.log(p)
-    vol = _cell_volume(p, M * n)
-    statuses = []
-    sup_exp = 0.0  # - log_q of the sup bound of prod |h|^{Re b}
-    for h, b, scaled, der in hasse:
-        oc = ops.centre_ord(scaled, X)
-        lin = None
-        higher = None
-        for size, dscaled in der:
-            od = ops.centre_ord(dscaled, X)
-            if od is None:
-                continue
-            e = od + M * size
-            if size == 1:
-                lin = e if lin is None else min(lin, e)
-            else:
-                higher = e if higher is None else min(higher, e)
-        pert = min((x for x in (lin, higher) if x is not None), default=None)
-        rb = complex(b).real
-        if pert is None:
-            if oc is None:
-                raise DivergentIntegral(
-                    "symbol vanishes identically on a charged cell",
-                    multiplier=h)
-            statuses.append(("const", oc))
-            sup_exp += oc * rb
-        elif oc is not None and oc < pert:
-            statuses.append(("const", oc))
-            sup_exp += oc * rb
-        elif lin is not None and (higher is None or higher > lin) \
-                and (oc is None or oc >= lin):
-            statuses.append(("smooth", lin))
-            sup_exp += lin * rb
-        else:
-            statuses.append(("split", None))
-            eff = min(x for x in (oc, pert) if x is not None)
-            sup_exp += eff * rb
-
-    n_smooth = sum(1 for s, _ in statuses if s == "smooth")
-    n_split = sum(1 for s, _ in statuses if s == "split")
-    if n_split == 0 and n_smooth <= 1:
+    if 2 not in status and status.count(1) <= 1:
         out = 1.0 + 0.0j
-        for (status, e), (h, b, _, _) in zip(statuses, hasse):
+        for s, e, (_, b) in zip(status, ords, mults):
             bc = complex(b)
-            if status == "const":
+            if s == 0:
                 out *= cmath.exp(-e * bc * lnp)
             else:
                 out *= (1 - 1.0 / p) * cmath.exp(-e * bc * lnp) \
                     / (1 - cmath.exp(-(1 + bc) * lnp))
-        return vol * out, 0.0
+        return vol * out, 0.0, False
+    sup_exp = 0.0  # - log_q of the sup bound of prod |h|^{Re b}
+    for e, (_, b) in zip(ords, mults):
+        sup_exp += e * complex(b).real
     upper = vol * math.exp(-sup_exp * lnp)
-    if upper < tol:
-        return 0.0 + 0.0j, upper
-    if budget[0] <= 0:
-        raise BudgetExceeded("refinement budget exhausted before the "
-                             "certified tolerance was reached")
-    total = 0.0 + 0.0j
-    tail = 0.0
-    children = p ** n
-    budget[0] -= children
-    step = p ** (M + D)
-    for off in np.ndindex(*(p,) * n):
-        child = tuple(x + d * step for x, d in zip(X, off))
-        cval, ctail = _cell_poly_integral(ops, hasse, child, D, M + 1,
-                                          tol / children, budget)
-        total += cval
-        tail += ctail
-    return total, tail
+    return (0.0 + 0.0j, upper, False) if upper < tol \
+        else (0.0 + 0.0j, 0.0, True)
 
 
 # -- partial Fourier restriction ----------------------------------------------

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import BudgetExceeded, Inexact, UnsupportedPolynomial
+from .errors import BudgetExceeded, Inexact
 
 DEFAULT_PRECISION = 32
 
@@ -699,27 +699,6 @@ class _QpOps(_FieldOps):
         out *= scale
         return out
 
-    def scaled_terms(self, h, D: int):
-        """(terms, shift) with h(X / p^D) = sum c X^e / p^shift over the
-        (c, e) in terms, for every integer vector X: each coefficient
-        carries p^{D (deg h - |e|)}, and shift = D deg h."""
-        deg = h.degree()
-        return tuple((c * self.p ** (D * (deg - sum(e))), e)
-                     for e, c in h.terms), D * deg
-
-    def centre_ord(self, scaled, X):
-        """ord_p h(X / p^D), None at a zero, from ``scaled_terms(h, D)``:
-        the order of one integer numerator, with no rational arithmetic."""
-        terms, shift = scaled
-        acc = 0
-        for c, e in terms:
-            for x, k in zip(X, e):
-                if k:
-                    c *= x ** k
-            acc += c
-        v = p_adic_ord(self.p, acc)
-        return None if v is None else v - shift
-
 
 #: Q_p residues mod M are int64 up to this modulus: a product of two is
 #: below 2^62, so it can be reduced before anything can wrap
@@ -968,10 +947,6 @@ class _LaurentOps(_FieldOps):
         for ax in range(n):
             x = np.take(x, rev, axis=ax)
         return x
-
-    def scaled_terms(self, h, D: int):
-        raise UnsupportedPolynomial(
-            "general polynomial symbols are implemented over Q_p")
 
 
 def _digit_rows(x, p, cap):

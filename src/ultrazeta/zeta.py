@@ -315,14 +315,16 @@ def monomial_zeta_closed(N, v=None, q: int = 3) -> RationalFunctionT:
 def check_strong_nondegeneracy(f: IntPolynomial, field: FieldSpec):
     """Brute-force the condition over the residue field: the reduction
     has no singular zero away from the origin."""
-    q = field.q
-    grads = f.gradient()
-    for point in np.ndindex(*(q,) * f.n):
-        if all(c == 0 for c in point):
-            continue
-        if f.eval_int(point, modulus=q) != 0:
-            continue
-        if all(g.eval_int(point, modulus=q) == 0 for g in grads):
+    q, n = field.q, f.n
+    # the points of the residue field, in np.ndindex order past the origin
+    for lo in range(1, q ** n, KERNEL_BLOCK):
+        points = index_digits(np.arange(lo, min(lo + KERNEL_BLOCK, q ** n)),
+                              q, n)[:, ::-1].T.astype(np.int64)
+        for g in [f] + f.gradient():  # keep the points where g vanishes too
+            if points.shape[1]:
+                points = points[:, field.ops.poly_ords(g, points, 1) == 1]
+        if points.shape[1]:
+            point = tuple(points[:, 0].tolist())
             raise NondegeneracyFailed(
                 f"singular zero of the reduction at {point}", witness=point)
 

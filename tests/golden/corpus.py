@@ -23,8 +23,9 @@ import numpy as np
 from ultrazeta import cli
 from ultrazeta.errors import UltrazetaError
 from ultrazeta.fundsol import zeta_exact_in_t
-from ultrazeta.grid import (GridFunction, fourier_transform,
-                            inverse_fourier_transform, random_grid, reflect)
+from ultrazeta.grid import (GridFunction, _poly_weighted_integral,
+                            fourier_transform, inverse_fourier_transform,
+                            random_grid, reflect)
 from ultrazeta.intpoly import IntPolynomial, parse_polynomial
 from ultrazeta.localfield import (LaurentFp, LocalFieldElement, Qp,
                                   _digit_group_matrix, _digit_reversal,
@@ -261,6 +262,44 @@ def rational() -> dict:
     return out
 
 
+def symbols() -> dict:
+    """The certified refinement of polynomial symbols |h|^beta on Q_2, Q_3
+    and Q_5, over random and unit-ball carriers: ``float.hex`` of the
+    value's real and imaginary parts and of the tail, or the refusal.  The
+    cusp at beta = 0.7 and the random Q_5 carrier at (L, m) = (2, 1) are
+    left out: each took over 100 ms."""
+    out = {}
+    rng = np.random.default_rng(20)
+    ball = parse_polynomial("x1^2+x2^2", 2)
+    for p in (2, 3, 5):
+        field = Qp(p)
+        for L, m in ((0, 0), (1, 1), (2, 1)):
+            for name, carrier in (
+                    ("random", random_grid(field, 2, L, m, rng)),
+                    ("ball", GridFunction.indicator_ball(field, 2, 0, L=L,
+                                                         m=m))):
+                if p == 5 and (L, m, name) == (2, 1, "random"):
+                    continue
+                for text in ("x1^2+x2^2", "x1^2-x2^3", "x1^3-2*x1*x2^2",
+                             "3*x1^2+x2", "9*x1^2+x2^2", "x1*x2"):
+                    h = parse_polynomial(text, 2)
+                    for beta in (0.7, 1.5, 3.0):
+                        if (text, beta) == ("x1^2-x2^3", 0.7):
+                            continue
+                        # x1*x2 alone is a monomial: pair it with a ball
+                        mults = [(h, beta)] + ([(ball, 0.5)]
+                                               if text == "x1*x2" else [])
+                        r = _refusal(_poly_weighted_integral, carrier, mults)
+                        out[f"Qp{p}/{L},{m}/{name}/{text}/{beta}"] = \
+                            r if isinstance(r, str) else \
+                            [r[0].real.hex(), r[0].imag.hex(), r[1].hex()]
+                if L == 1:
+                    out[f"Qp{p}/{L},{m}/{name}/budget"] = _refusal(
+                        _poly_weighted_integral, carrier, [(ball, 1.5)],
+                        1e-12, 10)
+    return out
+
+
 def _commands(d: Path):
     """(name, argv) of the CLI runs, with their input grids written to d."""
     rng = np.random.default_rng(11)
@@ -323,7 +362,8 @@ def reports() -> dict:
 
 
 SECTIONS = {"tables": tables, "field_ops": field_ops, "elements": elements,
-            "eval_fpt": eval_fpt, "rational": rational, "reports": reports}
+            "eval_fpt": eval_fpt, "rational": rational, "reports": reports,
+            "symbols": symbols}
 
 
 def dump(corpus: dict) -> str:

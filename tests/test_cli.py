@@ -16,7 +16,7 @@ from ultrazeta import pdo
 from ultrazeta.cli import build_parser, main
 from ultrazeta.grid import GridFunction, fourier_transform, random_grid
 from ultrazeta.intpoly import parse_polynomial
-from ultrazeta.localfield import Qp
+from ultrazeta.localfield import LaurentFp, Qp
 
 
 @pytest.fixture
@@ -322,6 +322,26 @@ def test_field_bad_element_file_exits_two(tmp_path):
                  "--b-file", str(src)]) == 2
 
 
+def _laurent_grid_file(tmp_path):
+    g = random_grid(LaurentFp(3), 2, 1, 1, np.random.default_rng(27))
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json_text())
+    return str(path)
+
+
+def test_op_apply_general_symbol_on_laurent_grid(tmp_path):
+    report = tmp_path / "r.json"
+    rc = main(["--report", str(report), "op", "apply", "--symbol",
+               "x1^2+x2^2:1.5", "--input", _laurent_grid_file(tmp_path),
+               "--output", str(tmp_path / "T.json"), "--norms", "0", "2"])
+    assert rc == 0
+    norms = json.loads(report.read_text())["results"]["norms"]
+    assert set(norms) == {"0", "2"}
+    for entry in norms.values():
+        assert np.isfinite(entry["value"]) and entry["value"] > 0
+        assert np.isfinite(entry["certified_tail"])
+
+
 # -- inputs that hung or printed a traceback -----------------------------------
 
 def _one_line_exit_two(argv, capsys):
@@ -332,6 +352,15 @@ def _one_line_exit_two(argv, capsys):
     assert err.startswith("ultrazeta: invalid input: ")
     assert err.count("\n") == 1
     return err
+
+
+def test_symbol_constant_in_the_field_exits_two(tmp_path, capsys):
+    # 3*x1^2 + 3*x2 is the constant 0 over F_3((T))
+    err = _one_line_exit_two(
+        ["op", "apply", "--symbol", "3*x1^2+3*x2:1.5", "--input",
+         _laurent_grid_file(tmp_path), "--output", str(tmp_path / "T.json"),
+         "--norms", "0"], capsys)
+    assert "constant in the field" in err
 
 
 def _qp_elem(p, val, digits=(1,)):

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ultrazeta.errors import BudgetExceeded, DivergentIntegral, Inexact, \
-    UnsupportedPolynomial
+from ultrazeta.errors import BudgetExceeded, DivergentIntegral, Inexact
 from ultrazeta.grid import (MAX_GRID_CELLS, GridFunction, Multiplier,
                             SpectralFunction, convolve, dirac, dual_norm,
                             embed, fourier_transform, hinf_metric, l2_norm,
@@ -248,6 +247,22 @@ def test_refinement_budget_guard():
                                 max_cells=10)
 
 
+def test_refinement_depth_guard():
+    # at a singular zero a small beta splits one cell a level for
+    # thousands of levels: a split at max_depth raises BudgetExceeded
+    from ultrazeta.grid import _poly_weighted_integral
+
+    h = IntPolynomial.make(1, {(2,): 1, (3,): 1})
+    carrier = GridFunction.indicator_ball(F3, 1, 0, L=0, m=0)
+    want = _poly_weighted_integral(carrier, [(h, 0.5)])  # 25 levels deep
+    assert _poly_weighted_integral(carrier, [(h, 0.5)], max_depth=26) \
+        == want
+    with pytest.raises(BudgetExceeded):  # its split at level 25
+        _poly_weighted_integral(carrier, [(h, 0.5)], max_depth=25)
+    with pytest.raises(BudgetExceeded):
+        _poly_weighted_integral(carrier, [(h, 0.01)], max_depth=30)
+
+
 def test_spectral_construction_rejects_divergent():
     xi1 = IntPolynomial.make(1, {(1,): 1})
     base = GridFunction.indicator_ball(F3, 1, 0, L=1, m=1)
@@ -453,6 +468,40 @@ def test_exact_power_integral_matches_per_cell_sum(field, n, w):
         want += cell
     got = power_integral(g, w)
     assert type(got) is Fraction and got == want
+
+
+def test_power_integral_with_a_half_exponent_is_complex():
+    # q^(k/2) is irrational: an exact grid takes the complex path, and
+    # gives the float grid's value
+    exact = GridFunction.indicator_ball(Qp(3), 1, 0, L=1, m=1, exact=True)
+    flt = GridFunction.indicator_ball(Qp(3), 1, 0, L=1, m=1)
+    got = power_integral(exact, [Fraction(1, 2)])
+    assert type(got) is complex
+    assert got == power_integral(flt, [Fraction(1, 2)])
+    assert got == pytest.approx(0.8255423698129906)
+    # an integral Fraction exponent stays exact
+    assert type(power_integral(exact, [Fraction(2)])) is Fraction
+
+
+@pytest.mark.parametrize("field", [Qp(3), LaurentFp(2)])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("n", [1, 2])
+def test_embed_matches_per_cell_evaluation(field, exact, n):
+    # each cell of the embedding holds g at its representative, 0 outside
+    # the support of g
+    rng = np.random.default_rng(25)
+    q = field.q
+    g = _exact_grid(field, n, 1, 1, rng) if exact \
+        else random_grid(field, n, 1, 1, rng)
+    for L, m in ((2, 1), (1, 2), (2, 2)):
+        big = embed(g, L, m)
+        assert big.values.dtype == g.values.dtype
+        for idx in np.ndindex(big.values.shape):
+            rep = [LocalFieldElement.from_digits(
+                field, -L, digits_of(i, q, L + m)) for i in idx]
+            assert big.values[idx] == g.evaluate(rep)
+            assert type(big.values[idx]) is (Fraction if exact
+                                             else np.complex128)
 
 
 def _per_cell_json_values(g, dense):
@@ -900,14 +949,16 @@ def test_transforms_match_reference_with_remainder_groups(field, n, L, m):
                          - reflect(slow).values)) < 1e-12
 
 
-# -- integer cell orders of the symbol refinement ------------------------------
+# -- cell orders of the symbol refinement --------------------------------------
 
 @st.composite
 def _poly_at_centre(draw):
-    """An integer polynomial (n <= 3, degree <= 4, coefficients often
-    divisible by p) and a refinement centre i / p^L + d p^M, sometimes a
-    zero of the polynomial."""
+    """A field, an integer polynomial (n <= 3, degree <= 4, coefficients
+    often divisible by p), a refinement centre X / pi^L with
+    X = i + d p^(M+L) (digit-encoded over F_p((T))), sometimes a zero of
+    the polynomial over Q_p, and a cap on the order."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
+    field = draw(st.sampled_from([Qp(p), LaurentFp(p)]))
     n = draw(st.integers(1, 3))
     L, M = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     i = [draw(st.integers(0, p ** (L + M) - 1)) for _ in range(n)]
@@ -922,55 +973,108 @@ def _poly_at_centre(draw):
         terms[tuple(e)] = draw(st.integers(-30, 30)) \
             * p ** draw(st.integers(0, 3))
     if draw(st.booleans()):
-        # p^L x_j - X_j vanishes at the centre; so does every multiple
+        # p^L x_j - X_j vanishes at the centre over Q_p; so does every
+        # multiple
         j = draw(st.integers(0, n - 1))
         unit = tuple(int(k == j) for k in range(n))
         c = draw(st.integers(1, 3))
         terms = {unit: c * p ** L, (0,) * n: -c * X[j]}
-    return p, L, X, IntPolynomial.make(n, terms)
+    return field, L, X, IntPolynomial.make(n, terms), draw(st.integers(1, 8))
+
+
+def _kernel_ord(field, poly, X, L, cap):
+    """min(ord poly(X / pi^L), cap) from the order kernel on the
+    homogenised polynomial, as the symbol refinement reads it."""
+    from ultrazeta.grid import _homogenised
+
+    H, deg = _homogenised(poly)
+    points = np.array([[x] for x in X] + [[field.p ** L]], np.int64)
+    return int(field.ops.poly_ords(H, points, cap + L * deg)[0]) - L * deg
+
+
+def _fpt_ord(poly, X, p, L, cap):
+    """min(ord poly(X / T^L), cap) over F_p((T)) by ``eval_fpt``: the
+    order of T^(L deg) poly(X / T^L), summed term by term, less L deg."""
+    deg = poly.degree()
+    trunc = cap + L * deg
+    point = [tuple(digits_of(x, p, trunc)) for x in X]
+    acc = [0] * trunc
+    for e, c in poly.terms:
+        shift = L * (deg - sum(e))
+        term = IntPolynomial.make(len(X), {e: c}).eval_fpt(point, p, trunc)
+        for k in range(trunc - shift):
+            acc[k + shift] = (acc[k + shift] + term[k]) % p
+    first = next((k for k, a in enumerate(acc) if a), trunc)
+    return first - L * deg
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_poly_at_centre())
 def test_integer_cell_order_matches_fraction_order(case):
-    p, L, X, h = case
-    centre = tuple(Fraction(x, p ** L) for x in X)
+    field, L, X, h, cap = case
+    p = field.p
     for poly in [h] + [dh for _, dh in h.hasse_derivatives()]:
-        assert Qp(p).ops.centre_ord(Qp(p).ops.scaled_terms(poly, L), X) \
-            == p_adic_ord(p, poly.eval_fraction(centre))
+        if field.kind == "Qp":
+            v = p_adic_ord(p, poly.eval_fraction(
+                tuple(Fraction(x, p ** L) for x in X)))
+            want = cap if v is None else min(v, cap)
+        else:
+            want = _fpt_ord(poly, X, p, L, cap)
+        assert _kernel_ord(field, poly, X, L, cap) == want
 
 
 def test_integer_cell_order_exact_zeros():
+    # a zero reads as the cap, at every cap, on both fields
     h = IntPolynomial.make(2, {(2, 0): 1, (0, 2): -1})  # x1^2 - x2^2
-    for p, L in ((3, 0), (3, 2), (2, 1)):
-        assert Qp(p).ops.centre_ord(Qp(p).ops.scaled_terms(h, L),
-                                    (5, 5)) is None
-        assert Qp(p).ops.centre_ord(Qp(p).ops.scaled_terms(h, L),
-                                    (0, 0)) is None
     zero = IntPolynomial.make(2, {})
-    assert Qp(3).ops.centre_ord(Qp(3).ops.scaled_terms(zero, 1),
-                                (1, 2)) is None
-    assert Qp(3).ops.centre_ord(Qp(3).ops.scaled_terms(h, 1), (2, 1)) \
+    for field in (Qp(2), Qp(3), LaurentFp(2), LaurentFp(3)):
+        for L in (0, 1, 2):
+            for cap in (1, 5):
+                assert _kernel_ord(field, h, (5, 5), L, cap) == cap
+                assert _kernel_ord(field, h, (0, 0), L, cap) == cap
+                assert _kernel_ord(field, zero, (1, 2), L, cap) == cap
+    # x1^2 - x2^2 at (2, 1) / 3 is 3 / 9 over Q_3; at (2, 0) / T it is
+    # 4 / T^2 = 1 / T^2 over F_3((T)), where (2, 1) / T is a zero
+    assert _kernel_ord(Qp(3), h, (2, 1), 1, 5) \
         == p_adic_ord(3, Fraction(3, 9)) == -1
+    assert _kernel_ord(LaurentFp(3), h, (2, 0), 1, 5) == -2
+    assert _kernel_ord(LaurentFp(3), h, (2, 1), 1, 5) == 5
 
 
-@pytest.mark.parametrize("p", [2, 3])
+def test_symbol_refinement_past_int64_cells():
+    # at beta = 0.2 the cell around 0 splits down to level 88; past level
+    # 21, 7^(M+1) passes 2^63 and the cells are Python ints
+    from ultrazeta.grid import _poly_weighted_integral
+
+    h = IntPolynomial.make(1, {(2,): 1})
+    want = (1 - 1 / 7) / (1 - 7 ** -1.4)  # integral of |x|^0.4 over R
+    for field in (Qp(7), LaurentFp(7)):
+        carrier = GridFunction.indicator_ball(field, 1, 0, L=0, m=0)
+        val, tail = _poly_weighted_integral(carrier, [(h, 0.2)], tol=1e-30)
+        assert tail < 1e-30
+        assert abs(val - want) <= 1e-14
+
+
+# F_2((T)) is left out: there x1^2 + x2^2 = (x1 + x2)^2 exhausts the budget
+@pytest.mark.parametrize("field", [Qp(2), Qp(3), LaurentFp(3)],
+                         ids=["2", "3", "F3"])
 @pytest.mark.parametrize("text, k", [("x1^2+x2^2", 2), ("x1*x2", 2),
                                      ("x1^3-2*x1*x2^2", 3)])
-def test_symbol_refinement_scales_with_support(p, text, k):
-    # xi = x / p^L maps X + p^{M+L} Z_p^n onto the cell X / p^L + p^M Z_p^n
+def test_symbol_refinement_scales_with_support(field, text, k):
+    # xi = x / pi^L maps X + pi^{M+L} R^n onto the cell X / pi^L + pi^M R^n
     # and |h(xi)| = p^{kL} |h(x)| for h homogeneous of degree k, so a cell
     # of an L = 1 carrier integrates to p^{nL + kL beta} times the same
     # cell, read at L = 0, of a carrier one digit finer
     from ultrazeta.grid import _poly_weighted_integral
     from ultrazeta.intpoly import parse_polynomial
 
+    p = field.p
     h = parse_polynomial(text, 2)
     for beta in (0.7, 1.5):
         for idx in [(0, 0), (1, 0), (p, 2 * p - 1), (p + 1, 1)]:
-            coarse = GridFunction.zeros(Qp(p), 2, 1, 1)
+            coarse = GridFunction.zeros(field, 2, 1, 1)
             coarse.values[idx] = 1.0
-            fine = GridFunction.zeros(Qp(p), 2, 0, 2)
+            fine = GridFunction.zeros(field, 2, 0, 2)
             fine.values[idx] = 1.0
             a, ta = _poly_weighted_integral(coarse, [(h, beta)])
             b, tb = _poly_weighted_integral(fine, [(h, beta)])
@@ -979,16 +1083,6 @@ def test_symbol_refinement_scales_with_support(p, text, k):
 
 
 # -- what F_p((T)) grids refuse ----------------------------------------------
-
-def test_general_symbol_on_laurent_grid_is_refused():
-    base = GridFunction.indicator_ball(LaurentFp(3), 2, 0, L=1, m=1)
-    h = IntPolynomial.make(2, {(2, 0): 1, (0, 2): 1})  # x1^2 + x2^2
-    T = SpectralFunction(base, (Multiplier(h, 1.5),))
-    with pytest.raises(UnsupportedPolynomial):
-        T.norm_sq(0)
-    with pytest.raises(UnsupportedPolynomial):
-        dual_norm(T, 1)
-
 
 @pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 3), 2])
 def test_evaluate_refuses_rationals_on_laurent_grid(c):

@@ -170,6 +170,48 @@ def test_polynomial_symbol_integral_vs_counting_oracle():
             assert abs(val - oracle) < 1e-11 + rest + tail
 
 
+@pytest.mark.parametrize("text", ["x1^2+x2^2", "x1^2-x2^3",
+                                  "x1^2-x2^3+x2^4"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_polynomial_symbol_on_laurent_unit_ball(p, text):
+    # the refinement reads only orders, which agree on Q_p and F_p((T))
+    # here, so the two values are equal; the F_p((T)) value also lies in
+    # the bracket of its own lift series
+    from ultrazeta.grid import _poly_weighted_integral
+    from ultrazeta.localfield import LaurentFp
+    from ultrazeta.zeta import igusa_series
+
+    h = parse_polynomial(text, 2)
+    K = 10
+    series = igusa_series(h, LaurentFp(p), K, method="lift")
+    rest = float(1 - sum(series.coeffs))
+    for beta in (0.8, 2.6):
+        qp, fpt = (_poly_weighted_integral(
+            GridFunction.indicator_ball(field, 2, 0, L=0, m=0), [(h, beta)])
+            for field in (Qp(p), LaurentFp(p)))
+        assert fpt == qp
+        val, tail = fpt
+        low = sum(float(c) * float(p) ** (-k * beta)
+                  for k, c in enumerate(series.coeffs))
+        high = low + rest * float(p) ** (-(K + 1) * beta)
+        assert low - tail - 1e-12 <= val.real <= high + tail + 1e-12
+        assert val.imag == 0
+
+
+def test_polynomial_symbol_in_characteristic_two():
+    # over F_2((T)), x1^2 + x2^2 = (x1 + x2)^2: not the Q_2 value
+    from ultrazeta.grid import _poly_weighted_integral
+    from ultrazeta.localfield import LaurentFp
+
+    h = parse_polynomial("x1^2+x2^2", 2)
+    q2, f2 = (_poly_weighted_integral(
+        GridFunction.indicator_ball(field, 2, 0, L=0, m=0), [(h, 1.5)])[0]
+        for field in (Qp(2), LaurentFp(2)))
+    assert q2.real == pytest.approx(0.6074, abs=1e-4)
+    # |x1 + x2|^3 over R^2: (1 - 1/2) / (1 - 2^-4)
+    assert f2.real == pytest.approx(8 / 15, abs=1e-10)
+
+
 def test_symbol_estimate_on_grid_points():
     # |h(xi)|^{Re a} <= [xi]^{deg ceil(Re a)} pointwise (p-adic norms)
     h = parse_polynomial("x1^2+x2^2", 2)

@@ -4,7 +4,9 @@ Only ``localfield`` tells Q_p from F_p((T)); every other module asks the
 field layer (``FieldSpec.ops``), and inside ``localfield`` only the kind
 check and the selector of ``FieldSpec.ops`` compare the field kind.  No
 module reaches into another module's private names, and every name the
-package exports is used by the engine or the tests.  The benchmark's span
+package exports is used by the engine or the tests.  Polynomials are
+evaluated by the field layer's order kernel: only ``intpoly`` calls the
+scalar evaluators, which the tests keep as oracles.  The benchmark's span
 tracer finds every entry point it wraps.
 """
 
@@ -69,6 +71,20 @@ def test_the_field_layer_compares_the_kind_only_in_its_selector():
     assert outside == [], f"localfield compares .kind outside " \
         f"{sorted(KIND_SELECTORS)}: {outside}"
     assert {scope for scope, _ in found} == KIND_SELECTORS
+
+
+SCALAR_EVALUATORS = {"eval_int", "eval_fraction", "eval_fpt"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_intpoly_calls_the_scalar_evaluators(path):
+    if path.stem == "intpoly":
+        return
+    calls = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute)
+             and node.attr in SCALAR_EVALUATORS]
+    assert calls == [], f"{path.name} evaluates a polynomial by hand on " \
+        f"lines {calls}; use FieldSpec.ops.poly_ords"
 
 
 def _private_imports(path):

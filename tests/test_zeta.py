@@ -475,6 +475,39 @@ def test_nondegeneracy_rejected():
         check_strong_nondegeneracy(g, F3)
 
 
+def _first_singular_zero(f, q):
+    """The old scalar scan: the first point of (Z/q)^n, in np.ndindex
+    order and past the origin, where f and its gradient vanish mod q."""
+    grads = f.gradient()
+    for point in np.ndindex(*(q,) * f.n):
+        if any(point) and f.eval_int(point, modulus=q) == 0 \
+                and all(g.eval_int(point, modulus=q) == 0 for g in grads):
+            return point
+    return None
+
+
+@pytest.mark.parametrize("field", [Qp(2), Qp(3), LaurentFp(2)])
+def test_nondegeneracy_witness_is_the_first_singular_zero(field):
+    rng = np.random.default_rng(26)
+    singular = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        f = IntPolynomial.make(n, {
+            tuple(rng.integers(0, 4, n).tolist()): int(rng.integers(-4, 5))
+            for _ in range(4)})
+        want = _first_singular_zero(f, field.q)
+        if want is None:
+            check_strong_nondegeneracy(f, field)
+            continue
+        singular += 1
+        with pytest.raises(NondegeneracyFailed) as err:
+            check_strong_nondegeneracy(f, field)
+        assert err.value.witness == want
+        assert all(type(c) is int for c in err.value.witness)
+        assert str(err.value) == f"singular zero of the reduction at {want}"
+    assert singular >= 10
+
+
 def test_hinf_cross_mode_agreement():
     eng = HinfZetaEngine(2, 2, 1.0)
     for s in np.linspace(0.12, 3.0, 25):
