@@ -262,6 +262,29 @@ def rational() -> dict:
     return out
 
 
+# (polynomial, {field: depth}) of the lift entries: 18 terms, or the depth
+# at which the lift of Igusa's rough tail still takes well under 0.1 s
+_LIFT_DEPTHS = {"x1^2-x2^3+x2^4": {"Qp3": 14, "Qp5": 9, "LaurentFp2": 12,
+                                   "LaurentFp3": 10, "LaurentFp5": 8},
+                "x1^2+x2^2+x1^4+x2^4": {"LaurentFp2": 8}}
+
+
+def lift() -> dict:
+    """Coefficients of the series lift as ``Fraction`` strings, on Q_2,
+    Q_3, Q_5, F_2((T)), F_3((T)) and F_5((T))."""
+    out = {}
+    for field in (Qp(2), Qp(3), Qp(5), LaurentFp(2), LaurentFp(3),
+                  LaurentFp(5)):
+        key = f"{field.kind}{field.p}"
+        for text in ("x1^2-x2^3", "x1^2*x2-x2^4", "x1^2+x1*x2+x2^3",
+                     "x1^2-x2^3+x2^4", "x1^2+x2^2+x1^4+x2^4", "x1*x2-x1^3"):
+            K = _LIFT_DEPTHS.get(text, {}).get(key, 18)
+            series = igusa_series(parse_polynomial(text, 2), field, K,
+                                  method="lift")
+            out[f"{key}/{text}/{K}"] = [str(c) for c in series.coeffs]
+    return out
+
+
 def symbols() -> dict:
     """The certified refinement of polynomial symbols |h|^beta on Q_2, Q_3
     and Q_5, over random and unit-ball carriers: ``float.hex`` of the
@@ -363,7 +386,7 @@ def reports() -> dict:
 
 SECTIONS = {"tables": tables, "field_ops": field_ops, "elements": elements,
             "eval_fpt": eval_fpt, "rational": rational, "reports": reports,
-            "symbols": symbols}
+            "symbols": symbols, "lift": lift}
 
 
 def dump(corpus: dict) -> str:
