@@ -38,7 +38,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -795,7 +795,7 @@ def dual_norm(T, m: int) -> float:
     return math.sqrt(max(sq, 0.0))
 
 
-# -- general polynomial multipliers --------------------------------------------
+# -- the cell engine ----------------------------------------------------------
 
 def _homogenised(g: IntPolynomial):
     """(H, deg g), H(x, z) = sum c x^e z^(deg g - |e|) over the terms of g:
@@ -805,44 +805,131 @@ def _homogenised(g: IntPolynomial):
                                         for e, c in g.terms}), deg
 
 
-def _symbol_factor(h: IntPolynomial, ops):
-    """(top, deg, h, parts): deg is h's degree in the field, top the least
-    order of its coefficients of that degree (Hasse derivatives of h, None
-    if h = 0), and parts the (|gamma|, D^gamma h) of the Hasse derivatives
-    nonzero in the field, a constant one kept as its order."""
+@lru_cache(maxsize=256)
+def hasse_factor(h: IntPolynomial, ops):
+    """(top, deg, H, parts) of h over the field: deg is h's degree in the
+    field, top the least order of its coefficients of that degree (Hasse
+    derivatives of h, None if h = 0), H = _homogenised(h), and parts the
+    (|gamma|, D^gamma h) of the Hasse derivatives nonzero in the field, a
+    constant one kept as its order and any other as (H, deg, the least
+    order of its coefficients)."""
     terms = {e: c for e, c in h.terms if ops.int_ord(c) is not None}
     deg = max(map(sum, terms), default=0)
-    if not deg and not h.is_constant:
-        raise ValueError(f"symbol {h} is constant in the field")
     h = IntPolynomial.make(h.n, terms)
-    parts = [(sum(gamma), ops.int_ord(dh.terms[0][1]) if dh.is_constant
-              else _homogenised(dh))
-             for gamma, dh in h.hasse_derivatives()
-             if any(ops.int_ord(c) is not None for c in dh.coefficients())]
+    parts = []
+    for gamma, dh in h.hasse_derivatives():
+        ords = [o for o in map(ops.int_ord, dh.coefficients())
+                if o is not None]
+        if ords:
+            parts.append((sum(gamma), ords[0] if dh.is_constant
+                          else (*_homogenised(dh), min(ords))))
     top = min((ops.int_ord(c) for e, c in terms.items() if sum(e) == deg),
               default=None)
     return top, deg, _homogenised(h), parts
 
 
+def hasse_classify(factor, ops, cells, D, M, cap):
+    """(status, order) of h = ``factor`` (see ``hasse_factor``) on each
+    cell X / pi^D + pi^M R^n, one integer column X of ``cells`` each.
+
+    Denef's expansion h(X / pi^D + pi^M y) = sum_gamma D^gamma h(X / pi^D)
+    pi^{M |gamma|} y^gamma decides it.  Status 0, constant: |h| = q^-order
+    on the cell, as h(X / pi^D) lies below every other term.  1, smooth:
+    the linear terms, of least order ``order``, lie below the higher ones
+    and h(X / pi^D) not below them, so h pushes the cell's Haar measure
+    onto pi^order R.  2, open: ord h >= order on the cell.  Every order is
+    read capped at ``cap``, which decides every cell whose orders lie below
+    it.  Derivatives are evaluated only on the cells where ord h(X / pi^D)
+    does not already lie below every term's least possible order.
+    """
+    (H, deg), parts = factor[2:]
+    points = np.vstack([cells, np.full((1, cells.shape[1]), ops.p ** D,
+                                       cells.dtype)])
+    order = ops.poly_ords(H, points, cap + D * deg) - D * deg
+    status = np.zeros(len(order), np.int64)
+    least = [cap, cap]  # perturbations of order one, and of higher order
+    polys = []  # (|gamma|, D^gamma h, least order its term can take)
+    for size, g in parts:
+        if isinstance(g, tuple):
+            polys.append((size, g, g[2] - D * g[1] + M * size))
+        else:
+            least[size > 1] = min(least[size > 1], g + M * size)
+    # a term that cannot read below its group's constant ones is left out,
+    # and so is a higher one that cannot read below a constant linear one
+    polys = [t for t in polys if t[2] < least[t[0] > 1]
+             and (t[0] == 1 or t[2] <= least[0])]
+    open_ = np.flatnonzero(order >= min([t[2] for t in polys] + least))
+    if not open_.size:
+        return status, order
+    at = points[:, open_]
+    for size, (G, gdeg, _), _ in polys:
+        o = ops.poly_ords(G, at, cap - M * size + D * gdeg) - D * gdeg
+        least[size > 1] = np.minimum(least[size > 1], o + M * size)
+    lin, higher = least
+    oc = order[open_]
+    pert = np.minimum(lin, higher)
+    const = oc < pert
+    smooth = ~const & (lin < higher) & (oc >= lin)
+    status[open_] = np.where(const, 0, np.where(smooth, 1, 2))
+    order[open_] = np.where(const, oc, np.where(smooth, lin, pert))
+    return status, order
+
+
+def walk_cells(cells, p, D, M, visit, budget, exhausted):
+    """Walk the cells X / pi^D + pi^M R^n, one integer column X of
+    ``cells`` each (see ``localfield``), level by level.
+
+    ``visit(chunk, M)`` takes at most KERNEL_BLOCK cells of level M at a
+    time, in order, and returns the mask of those to split.  The p^n
+    children X + d p^(M+D) of a split cell follow those of the cells
+    split before it, in ``np.ndindex`` order of the digits d; past 2^63
+    they are Python ints.  A level's children are charged to ``budget``
+    before any is visited: past it, BudgetExceeded with
+    ``exhausted.format(M + 1)``, M the level of the split cells.
+    """
+    n = cells.shape[0]
+    digits, step, spent = np.zeros((n, 1), np.int64), 0, 0
+    while cells.shape[1]:
+        per = digits.shape[1]  # children of each cell; 1: the cells
+        total = cells.shape[1] * per
+        split = []
+        for lo in range(0, total, KERNEL_BLOCK):
+            at = np.arange(lo, min(lo + KERNEL_BLOCK, total))
+            kids = cells[:, at // per] + digits[:, at % per] * step
+            split.append(kids[:, visit(kids, M)])
+        cells = np.concatenate(split, axis=1)
+        spent += cells.shape[1] * p ** n
+        if spent > budget:
+            raise BudgetExceeded(exhausted.format(M + 1))
+        step, digits = p ** (M + D), np.indices((p,) * n).reshape(n, -1)
+        if step * p >= 2 ** 63:  # children past int64: Python ints
+            cells, digits = cells.astype(object), digits.astype(object)
+        M += 1
+
+
+# -- general polynomial multipliers --------------------------------------------
+
 def _poly_weighted_integral(carrier: GridFunction, mults, tol=1e-12,
                             max_cells=2_000_000, max_depth=1000):
     """Sum over carrier cells of value * integral_cell prod |h_j|^{beta_j}.
 
-    Certified adaptive refinement, a level of cells at a time: on each cell
-    a factor is either constant (its value dominates every Hasse-derivative
-    perturbation), closed by the smooth-zero pushforward (unit gradient at
-    cell scale), or the cell splits; a cell whose sup bound is below its
-    share of tol adds that bound to the tail.  Needs Re(beta_j) > 0.  Split
-    1 + max_cells / q^n, or one at depth max_depth, raises BudgetExceeded
-    (there a cell's share of tol is at most tol 2^-1000, past any useful
-    tail, and near the float range).  A cell X / pi^L + pi^M R^n is the integer
-    vector X; its orders come from the order kernel capped at
-    top + M deg + 1 (see ``_symbol_factor``), past every perturbation bound,
-    so no decision changes and a zero reads as the cap.  Split cells sum
-    their children in ``np.ndindex`` order.
+    Certified adaptive refinement on the cell engine (``walk_cells`` and
+    ``hasse_classify``): on each cell a factor is either constant,
+    closed by the smooth-zero pushforward, or the cell splits; a cell
+    whose sup bound is below its share of tol adds that bound to the
+    tail.  Needs Re(beta_j) > 0.  Split 1 + max_cells / q^n, or one at
+    depth max_depth, raises BudgetExceeded (there a cell's share of tol is
+    at most tol 2^-1000, past any useful tail, and near the float range).
+    A cell X / pi^L + pi^M R^n is the integer vector X; its orders are read
+    capped at top + M deg + 1 (see ``hasse_factor``), past every
+    perturbation bound, so no decision changes and a zero reads as the
+    cap.  Split cells sum their children in ``np.ndindex`` order.
     """
     ops, p, D, n = carrier.field.ops, carrier.field.p, carrier.L, carrier.n
-    factors = [_symbol_factor(h, ops) for h, _ in mults]
+    factors = [hasse_factor(h, ops) for h, _ in mults]
+    for (h, _), (_, deg, *_) in zip(mults, factors):
+        if not deg and not h.is_constant:
+            raise ValueError(f"symbol {h} is constant in the field")
     for h, b in mults:
         if complex(b).real <= 0:
             raise DivergentIntegral(
@@ -855,28 +942,43 @@ def _poly_weighted_integral(carrier: GridFunction, mults, tol=1e-12,
                 "symbol vanishes identically on a charged cell",
                 multiplier=h)
     children = p ** n
-    digits = np.indices((p,) * n).reshape(n, -1)
-    tol /= max(1, cells.shape[1])
-    levels, M = [], carrier.m  # (values, tails, split cells) per level
-    while cells.shape[1]:
-        rule, vol = {}, float(Fraction(p) ** (-M * n))  # correctly rounded
-        vals, tails, split = (np.concatenate(x) for x in zip(*(
-            _refine_cells(factors, mults, ops, cells[:, lo:lo + KERNEL_BLOCK],
-                          D, M, vol, tol, rule)
-            for lo in range(0, cells.shape[1], KERNEL_BLOCK))))
-        levels.append((vals, tails, np.flatnonzero(split)))
-        splits = sum(len(at) for *_, at in levels)
-        if split.any() and ((splits - 1) * children >= max_cells
-                            or M - carrier.m >= max_depth):
-            raise BudgetExceeded("refinement budget exhausted before the "
-                                 "certified tolerance was reached")
-        step = p ** (M + D)
-        if step * p >= 2 ** 63:  # children past int64: Python ints
-            cells, digits = cells.astype(object), digits.astype(object)
-        cells = (cells[:, split, None] + digits[:, None, :] * step
-                 ).reshape(n, -1)
-        M += 1
-        tol /= children
+    message = "refinement budget exhausted before the certified tolerance " \
+        "was reached"
+    # (level, values, tails, split) per chunk; each level's tol and rule
+    chunks, tols, rule = [], [tol / max(1, cells.shape[1])], {}
+
+    def visit(chunk, M):
+        # keep the chunk's (values, tails, split), a split cell's value
+        # left at 0 for its children, and split those
+        if len(tols) == M - carrier.m:  # a new level
+            tols.append(tols[-1] / children)
+            rule.clear()
+        vol = float(Fraction(p) ** (-M * n))  # correctly rounded
+        status, ords = [], []
+        key = np.zeros(chunk.shape[1], np.int64)  # numbers the patterns
+        for factor in factors:
+            top, deg = factor[:2]
+            cap = top + M * deg + 1
+            s, o = hasse_classify(factor, ops, chunk, D, M, cap)
+            status.append(s)
+            ords.append(o)
+            width = cap + D * deg + 1  # every order lies in [-D deg, cap]
+            key = np.unique(key, return_inverse=True)[1].reshape(-1) \
+                * 3 * width + s * width + o + D * deg
+        _, first, at = np.unique(key, return_index=True, return_inverse=True)
+        rows = list(map(tuple, np.array(status + ords)[:, first].T.tolist()))
+        rule.update({row: _cell_outcome(row, mults, p, vol, tols[-1])
+                     for row in rows if row not in rule})
+        chunks.append((M, *(np.array(x)[at.reshape(-1)]
+                            for x in zip(*(rule[row] for row in rows)))))
+        if chunks[-1][3].any() and M - carrier.m >= max_depth:
+            raise BudgetExceeded(message)
+        return chunks[-1][3]
+
+    walk_cells(cells, p, D, carrier.m, visit, max_cells + children - 1,
+               message)
+    levels = [[np.concatenate(x) for x in zip(*(c[1:] for c in level))]
+              for _, level in groupby(chunks, lambda c: c[0])]
     # deepest level first, each split cell adds up its children
     for (vals, tails, split), (kv, kt, _) in zip(levels[-2::-1],
                                                   levels[:0:-1]):
@@ -889,43 +991,6 @@ def _poly_weighted_integral(carrier: GridFunction, mults, tol=1e-12,
         total += val * cval
         tail += abs(val) * ctail
     return total, tail
-
-
-def _refine_cells(factors, mults, ops, cells, D, M, vol, tol, rule):
-    """(values, tails, split) on the cells of level M, split ones left at 0
-    for their children; each pattern's outcome is kept in ``rule``."""
-    N = cells.shape[1]
-    points = np.vstack([cells, np.full((1, N), ops.p ** D, cells.dtype)])
-
-    def capped(g, cap):  # min(ord g(X / pi^D), cap), a constant's as is
-        if not isinstance(g, tuple):
-            return cap if g is None else min(g, cap)
-        return ops.poly_ords(g[0], points, cap + D * g[1]) - D * g[1]
-    status, ords = [], []
-    key = np.zeros(N, np.int64)  # numbers the patterns
-    for top, deg, h, parts in factors:
-        cap = top + M * deg + 1
-        oc = capped(h, cap)
-        least = [cap, cap]  # perturbations of order one, and of higher order
-        for size, g in parts:
-            least[size > 1] = np.minimum(least[size > 1],
-                                         capped(g, cap - M * size) + M * size)
-        lin, higher = least
-        pert = np.minimum(lin, higher)
-        const = oc < pert
-        smooth = ~const & (lin < higher) & (oc >= lin)
-        status.append(np.where(const, 0, np.where(smooth, 1, 2)))
-        ords.append(np.where(const, oc,
-                             np.where(smooth, lin, np.minimum(oc, pert))))
-        width = cap + D * deg + 1  # every order lies in [-D deg, cap]
-        key = np.unique(key, return_inverse=True)[1].reshape(-1) * 3 * width \
-            + status[-1] * width + ords[-1] + D * deg
-    _, first, at = np.unique(key, return_index=True, return_inverse=True)
-    rows = list(map(tuple, np.array(status + ords)[:, first].T.tolist()))
-    rule.update({row: _cell_outcome(row, mults, ops.p, vol, tol)
-                 for row in rows if row not in rule})
-    return (np.array(x)[at.reshape(-1)]
-            for x in zip(*(rule[row] for row in rows)))
 
 
 def _cell_outcome(row, mults, p, vol, tol):

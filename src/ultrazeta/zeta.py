@@ -2,17 +2,18 @@
 monomial forms, strongly non-degenerate forms, elementary and mixed
 integrals, pole prediction, and the heat-kernel evaluator.
 
-The series engine counts residues mod p^{k+1} with early pruning, a
-level at a time through the field layer's order kernel, and two closure
-rules that keep desk-scale depths reachable: unit-gradient cells close
-with a geometric valuation tail (the pushforward of Haar measure
-under a submersion is Haar), and for weighted (quasi-homogeneous) f the
-box prod pi^{w_i} R_K closes by self-similarity
-f(pi^{w_1} x_1, ..., pi^{w_n} x_n) = pi^d f(x), which adds q^{-|w|} t^d Z,
-unless the first rule already closes the cells around the box;
-w = (1, ..., 1) is the homogeneous case.  Plain enumeration stays
-available as ``method="brute"`` and is the oracle the closures are tested
-against.
+The series engine is the cell engine of ``grid`` with exact accounting:
+``walk_cells`` splits cells level by level, and ``hasse_classify`` reads
+Denef's expansion f(a + pi^M y) = sum_gamma D^gamma f(a) pi^{M |gamma|}
+y^gamma on each.  A cell closes when f(a) lies below every other term
+(|f| is constant on it) or when the linear terms lie below the higher ones
+and f(a) not below them (the pushforward of Haar measure is Haar, and ord f
+has a geometric tail); a cell on which every term has order above K adds
+nothing to c_0..c_K and is dropped.  For weighted (quasi-homogeneous) f the
+box prod pi^{w_i} R_K closes by self-similarity f(pi^{w_1} x_1, ...,
+pi^{w_n} x_n) = pi^d f(x), which adds q^{-|w|} t^d Z; w = (1, ..., 1) is
+the homogeneous case.  Plain enumeration stays available as
+``method="brute"`` and is the oracle the closures are tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 
 from .errors import AmbiguousSolution, BudgetExceeded, DivergentIntegral, \
     NondegeneracyFailed, NoSolution, PoleProximity
-from .grid import GridFunction, fourier_transform, power_integral
+from .grid import GridFunction, fourier_transform, hasse_classify, \
+    hasse_factor, power_integral, walk_cells
 from .intpoly import IntPolynomial
 from .localfield import KERNEL_BLOCK, FieldSpec, Qp, digits_of, \
     index_digits
@@ -138,87 +140,40 @@ def _igusa_brute(f, field, K, budget):
 
 
 def _igusa_lift(f, field, K, budget):
-    q = field.q
-    n = f.n
+    q, n, ops = field.q, f.n, field.ops
     # base[k] * q^E, on one denominator q^E that every closure divides
     E = n * (K + 1) + K + 1
     base = [0] * (K + 1)
-    weights = _self_similarity_weights(f)
-    if weights is not None:
-        w, wdeg = weights
-        wtop = max(w)
-    grads = [g for g in f.gradient() if not g.is_zero]
-    ops = field.ops
-    spent = 0
-    # a cell is the integer vector of its known digits (see localfield),
-    # one column per open cell; a child adds one digit to every coordinate
-    open_cells = np.zeros((n, 1), np.int64)
-    per_chunk = max(1, KERNEL_BLOCK // q ** n)
-    for k in range(K + 1):
-        if not open_cells.shape[1]:
-            break  # every cell is closed: the deeper levels add nothing
-        # digits of each coordinate that vanish on the box prod pi^{w_i} R_K
-        box = None
-        if weights is not None and k < wtop:
-            box = tuple(min(wi, k + 1) for wi in w)
-        # every child of every open cell is visited: check before any is
-        total_children = open_cells.shape[1] * q ** n
-        spent += total_children
-        if spent > budget:
-            raise BudgetExceeded(
-                f"lifting budget exhausted at level {k + 1}")
-        if k == 0:  # the q^n digit vectors, now known to fit the budget
-            digits = np.indices((q,) * n).reshape(n, -1)
-        if q ** (k + 1) >= 2 ** 63:  # children past int64: Python ints
-            open_cells = open_cells.astype(object)
-            digits = digits.astype(object)
-        survivors = 0
-        # const[l]: closed cells on which ord f = l; tail[l]: closed cells
-        # whose ord f is uniformly distributed from l on (l < 2(k + 1))
-        const = np.zeros(2 * k + 2, np.int64)
-        tail = np.zeros(2 * k + 2, np.int64)
-        new_open = []
-        for lo in range(0, open_cells.shape[1], per_chunk):
-            cells = open_cells[:, lo:lo + per_chunk]
-            kids = (cells[:, :, None] + digits[:, None, :] * q ** k
-                    ).reshape(n, -1)
-            # f does not vanish mod pi^{k+1} on a cell whose order is below
-            kids = kids[:, ops.poly_ords(f, kids, k + 1) == k + 1]
-            survivors += kids.shape[1]
-            keep = np.zeros(kids.shape[1], bool)
-            rest = np.ones(kids.shape[1], bool)
-            if box is not None:
-                inside = np.logical_and.reduce(
-                    [kids[i] % q ** b == 0 for i, b in enumerate(box)])
-                # inside the box at its last level: repaid afterwards;
-                # straddling it: a closure would count it twice
-                keep |= inside & (k + 1 < wtop)
-                rest &= ~inside
-            if rest.any():
-                e, lvl = _cell_closures(f, grads, ops, kids[:, rest], k + 1)
-                closes = e < k + 1
-                tails = closes & (lvl == k + 1 + e)
-                const += np.bincount(lvl[closes & ~tails],
-                                     minlength=len(const))
-                tail += np.bincount(lvl[tails], minlength=len(tail))
-                keep[rest] = ~closes
-            new_open.append(kids[:, keep])
-        # a cell of level k + 1 has measure q^{-n(k+1)}
-        wk = q ** (E - n * (k + 1))
-        base[k] += (total_children - survivors) * wk
-        for lvl in np.flatnonzero(const[:K + 1]).tolist():
+    factor = hasse_factor(f, ops)
+    # no box: no level meets it, and nothing is repaid
+    w, wdeg = _self_similarity_weights(f) or ((), K + 1)
+    wtop = max(w, default=-1)
+
+    def visit(cells, M):
+        status, order = hasse_classify(factor, ops, cells, 0, M, K + 1)
+        if M <= wtop:
+            # a cell that meets the box prod pi^{w_i} R_K stays open, as
+            # ord f >= M on it, and at level max w it is the box, repaid
+            # after
+            inside = np.logical_and.reduce(
+                [cells[i] % q ** min(wi, M) == 0 for i, wi in enumerate(w)])
+            status[inside], order[inside] = 2, M if M < wtop else K + 1
+        wk = q ** (E - n * M)
+        const, tail = (np.bincount(order[(status == s) & (order <= K)],
+                                   minlength=K + 1) for s in (0, 1))
+        for lvl in np.flatnonzero(const).tolist():
             base[lvl] += int(const[lvl]) * wk
-        for lvl in np.flatnonzero(tail[:K + 1]).tolist():
-            # uniform pushforward: (1 - 1/q) q^{-(j - lvl)} from level lvl
+        for lvl in np.flatnonzero(tail).tolist():
             wt = int(tail[lvl]) * (q - 1) * wk // q
             for j in range(lvl, K + 1):
                 base[j] += wt
                 wt //= q
-        open_cells = np.concatenate(new_open, axis=1)
+        return (status == 2) & (order <= K)
+
+    walk_cells(np.zeros((n, 1), np.int64), q, 0, 0, visit, budget,
+               "lifting budget exhausted at level {}")
     denom = Fraction(1, q ** E)
     out = [c * denom for c in base]
-    if weights is None:
-        return out
     # the box: f(pi^w x) = pi^d f(x) gives c_k += q^{-|w|} c_{k-d}
     qfr = Fraction(q)
     for j in range(wdeg, K + 1):
@@ -234,11 +189,12 @@ def _self_similarity_weights(f):
     <w, a> = 1 over the exponents, when it is unique and positive.  Every
     variable then occurs in f, so f vanishes mod pi^{k+1} on every cell
     that meets the box at level k.  Cells that straddle the box stay open
-    below level max w, so the weights are kept only when the Hensel rule
-    could not close a straddling cell either: every monomial b of every
-    partial derivative has <w, b> >= max w - 1 or a variable of top
-    weight.  The lift then opens a subset of the cells it opens without
-    the box; a linear term (b = 0) always fails, as f is smooth there.
+    below level max w, so the weights are kept only when a unit linear
+    term could not close a straddling cell either: every monomial b of
+    every partial derivative has <w, b> >= max w - 1 or a variable of top
+    weight; a linear term (b = 0) always fails, as f is smooth there.  The
+    Hasse test may still close a straddling cell that the box keeps open,
+    so at small K the box can cost a few children.
     """
     exps = [e for e, _ in f.terms]
     n = f.n
@@ -262,27 +218,6 @@ def _self_similarity_weights(f):
                     not any(bj and wj == top for bj, wj in zip(b, w)):
                 return None
     return w, d
-
-
-def _cell_closures(f, grads, ops, cells, M):
-    """Hensel-style closure of the survivor cells x + B_{-M}^n, one column
-    of ``cells`` each: (e, lvl), with e = ord grad f at the canonical
-    representative capped at M, and lvl = ord f there capped at M + e.
-
-    When e < M, every higher-order Hasse term sits strictly below the
-    linear scale q^{-(M+e)}, so |f| = q^{-lvl} on the whole cell when
-    lvl < M + e, and otherwise ord f is uniformly distributed from M + e
-    on: the linear map pushes Haar measure onto a coset.  A cell with
-    e = M does not close.
-    """
-    e = np.full(cells.shape[1], M, np.int64)
-    for g in grads:
-        e = np.minimum(e, ops.poly_ords(g, cells, M))
-    lvl = np.zeros_like(e)
-    for ev in np.flatnonzero(np.bincount(e[e < M])).tolist():
-        at = e == ev
-        lvl[at] = ops.poly_ords(f, cells[:, at], M + ev)
-    return e, lvl
 
 
 # -- closed forms -------------------------------------------------------------

@@ -733,7 +733,7 @@ def test_axis_char_weights_match_per_index_definition(field, L, m):
                 field, L - 2, [1]), g.L, g.m)
 
 
-# -- a grid a norm has frozen, against a fresh copy --------------------------
+# -- a grid a norm has frozen: the bits of a fresh copy, no write ------------
 
 def _copy(g):
     """g on a new, writable array that no norm has seen."""
@@ -754,7 +754,7 @@ def _grid_pair(field, n, exact, seed):
                                    LaurentFp(3)])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("exact", [False, True])
-def test_kept_spectrum_gives_the_same_bits(field, n, exact):
+def test_a_frozen_grid_gives_the_bits_of_a_fresh_copy(field, n, exact):
     """Norms, pairings and convolve give the same bits on a grid that a
     Sobolev norm has frozen as on a fresh copy of it."""
     g, h = _grid_pair(field, n, exact, 31)
@@ -818,7 +818,7 @@ def test_write_after_a_norm_raises(field, n):
 @pytest.mark.parametrize("field", [Qp(2), LaurentFp(3)])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("exact", [False, True])
-def test_convolve_leaves_kept_spectra_alone(field, n, exact):
+def test_convolve_never_writes_into_its_operands(field, n, exact):
     """convolve never writes into its operands: writable ones keep their
     bits, and frozen ones (after a Sobolev norm) would raise."""
     f, g = _grid_pair(field, n, exact, 36)

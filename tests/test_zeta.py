@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultrazeta import grid, localfield, zeta
 from ultrazeta.errors import (BudgetExceeded, DivergentIntegral,
                               NondegeneracyFailed, PoleProximity)
-from ultrazeta.grid import GridFunction, inverse_fourier_transform, \
-    power_integral, random_grid
+from ultrazeta.grid import GridFunction, _poly_weighted_integral, \
+    inverse_fourier_transform, power_integral, random_grid
 from ultrazeta.intpoly import IntPolynomial, parse_polynomial
 from ultrazeta.localfield import LaurentFp, Qp
 from ultrazeta.pdo import GammaFactor, vladimirov
@@ -83,18 +84,21 @@ def test_igusa_methods_agree_nonhomogeneous():
 
 def test_igusa_lift_on_singular_monomial():
     # x1^2 x2 has no unit gradient along the x2-axis, so the lifting
-    # engine degrades to pruned enumeration there; it must still agree
-    # with the valuation-convolution route at desk depth
+    # engine splits the cells there until every Hasse term passes K; it
+    # must still agree with the valuation-convolution route at desk depth
     f = parse_polynomial("x1^2*x2", 2)
     mono = igusa_series(f, F3, 8, method="auto")
     lift = igusa_series(f, F3, 5, method="lift", budget=10 ** 6)
     assert list(lift.coeffs) == list(mono.coeffs[:6])
     brute = igusa_series(f, F3, 4, method="brute")
     assert list(brute.coeffs) == list(mono.coeffs[:5])
+    assert list(igusa_series(f, F3, 10, method="lift",
+                             budget=10 ** 5).coeffs) \
+        == monomial_zeta_closed([2, 1], q=3).series(11)
     # sufficiently deep truncations trip the budget guard rather than
     # silently stalling
     with pytest.raises(BudgetExceeded):
-        igusa_series(f, F3, 10, method="lift", budget=10 ** 5)
+        igusa_series(f, F3, 18, method="lift", budget=10 ** 5)
 
 
 def test_igusa_three_variables():
@@ -221,7 +225,7 @@ def _lift_cases(draw):
     return f, field, draw(st.integers(0, kmax)), weighted
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(_lift_cases())
 def test_lift_matches_brute(case):
     f, field, K, weighted = case
@@ -317,21 +321,40 @@ def test_weighted_closure_keeps_lift_small():
     brute = igusa_series(f, F3, 4, method="brute")
     assert deep.coeffs[:5] == brute.coeffs
     # x1^2 x2 is homogeneous, but singular along the x2-axis: the box
-    # leaves that frontier open
+    # leaves that frontier open, and only 10 terms fit this budget
+    f = parse_polynomial("x1^2*x2", 2)
+    assert list(igusa_series(f, F3, 10, method="lift",
+                             budget=10_000).coeffs) \
+        == monomial_zeta_closed([2, 1], q=3).series(11)
     with pytest.raises(BudgetExceeded, match="level"):
-        igusa_series(parse_polynomial("x1^2*x2", 2), F3, 10,
-                     method="lift", budget=10_000)
+        igusa_series(f, F3, 18, method="lift", budget=10_000)
+
+
+def _block_sensitive_results(field):
+    """Brute counts, lift coefficients and a symbol refinement's
+    ``float.hex``, each made of many KERNEL_BLOCK chunks at a small
+    block."""
+    f = parse_polynomial("x1^2+x1*x2+x2^3", 2)
+    brute = igusa_series(f, field, 2, method="brute")
+    lift = igusa_series(parse_polynomial("x1^2-x2^3+x2^4", 2), field, 10,
+                        method="lift")
+    ball = GridFunction.indicator_ball(field, 2, 0, L=1, m=1)
+    val, tail = _poly_weighted_integral(
+        ball, [(parse_polynomial("x1^2-x2^3", 2), 1.5)])
+    return brute, lift, [val.real.hex(), val.imag.hex(), tail.hex()]
 
 
 @pytest.mark.parametrize("field", [F3, LaurentFp(3)], ids=["Q3", "F3T"])
-@pytest.mark.parametrize("threads", ["3", "40"])
-def test_brute_counts_do_not_depend_on_threads(monkeypatch, field, threads):
-    # a thread cap, even one past the 9 blocks of 3^8 points, changes no
-    # count
-    f = parse_polynomial("x1^2+x1*x2+x2^3", 2)
-    one = igusa_series(f, field, 4, method="brute")
-    monkeypatch.setenv("ULTRAZETA_THREADS", threads)
-    assert igusa_series(f, field, 4, method="brute") == one
+@pytest.mark.parametrize("block", [7, 64])
+def test_results_do_not_depend_on_the_kernel_block(monkeypatch, field,
+                                                   block):
+    # the brute counter, the cell engine's frontier and the F_p((T))
+    # kernel each chunk by KERNEL_BLOCK; a block that splits a level, or
+    # a row of digits, into many chunks changes no count and no bit
+    want = _block_sensitive_results(field)
+    for module in (localfield, grid, zeta):
+        monkeypatch.setattr(module, "KERNEL_BLOCK", block)
+    assert _block_sensitive_results(field) == want
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -368,10 +391,85 @@ def test_lift_budget_stops_before_the_level_that_passes_it():
     # the whole frontier of a level is charged before any child of it is
     # evaluated, so the level and the message do not depend on the order
     # in which the children are visited
+    f = parse_polynomial("x1^2*x2", 2)
     with pytest.raises(BudgetExceeded) as err:
-        igusa_series(parse_polynomial("x1^2*x2", 2), F3, 10,
-                     method="lift", budget=10_000)
+        igusa_series(f, F3, 18, method="lift", budget=10_000)
     assert str(err.value) == "lifting budget exhausted at level 8"
+    assert igusa_series(f, F3, 10, method="lift", budget=10_000) \
+        == igusa_series(f, F3, 10)
+
+
+@pytest.mark.parametrize("text, field, K, children", [
+    ("x1^2-x2^3", F3, 18, 27), ("x1^2-x2^3", LaurentFp(3), 18, 27),
+    ("x1^2*x2-x2^4", F3, 18, 27), ("x1^2*x2-x2^4", LaurentFp(3), 18, 27),
+    ("x1^2-x2^3+x2^4", F3, 18, 594),
+    ("x1^2-x2^3+x2^4", LaurentFp(3), 18, 594),
+    ("x1^3+x2^3", LaurentFp(3), 18, 6561),
+], ids=lambda x: getattr(x, "kind", x))
+def test_lift_opens_the_pinned_children(text, field, K, children):
+    # the Hasse classifier closes a cell as soon as one term of the
+    # expansion dominates, and drops it once every term passes K: it
+    # finishes at exactly this budget and raises one child short
+    f = parse_polynomial(text, 2)
+    igusa_series(f, field, K, method="lift", budget=children)
+    with pytest.raises(BudgetExceeded):
+        igusa_series(f, field, K, method="lift", budget=children - 1)
+
+
+# (f, n, field, K, children the gradient-only lift opened)
+_GRADIENT_LIFT_CHILDREN = [
+    ("x1^2", 1, F3, 5, 3), ("x1^2+x2^3", 2, F3, 6, 99),
+    ("x1^2*x2", 2, F3, 5, 2187), ("x1^2+x2^2+x3^2", 3, F3, 6, 27),
+    ("x1^2+3*x2", 2, F3, 10, 36), ("x1^2+x2^2", 2, F3, 9, 9),
+    ("3*x1^2+3*x2^2", 2, F3, 10, 81), ("x1*x2", 2, LaurentFp(3), 4, 9),
+    ("x1+x2^16", 2, F3, 13, 9), ("x1+x2^16", 2, LaurentFp(3), 13, 9),
+    ("x1*x2+x2^16", 2, F3, 18, 171),
+    ("x1*x2+x2^16", 2, LaurentFp(3), 18, 171),
+    ("x1^2-x2^3", 2, F5, 18, 175), ("x1^2-x2^3", 2, Qp(7), 18, 441),
+    ("x1^2-x2^3", 2, F3, 18, 99), ("x1^2-x2^3", 2, LaurentFp(3), 11, 99),
+    ("x1^2*x2-x2^4", 2, F3, 12, 801), ("x1^2*x2-x2^4", 2, Qp(2), 8, 144),
+    ("x1^2*x2-x2^4", 2, LaurentFp(3), 12, 801),
+    ("x1^2+x1*x2+x2^3", 2, Qp(2), 70, 284),
+    ("x1^2+x1*x2+x2^3", 2, F3, 70, 639),
+    ("x1^2+x1*x2+x2^3", 2, LaurentFp(2), 70, 284),
+    ("x1^2+x1*x2+x2^3", 2, LaurentFp(3), 70, 639),
+    ("x1^2", 1, Qp(2), 15, 2), ("x1^2", 1, LaurentFp(2), 15, 2),
+    ("x1^2-x2^3+x2^4", 2, F3, 12, 19_647),
+    ("x1^2-x2^3+x2^4", 2, LaurentFp(3), 12, 95_949),
+]
+
+
+def test_lift_opens_no_more_children_than_the_gradient_rule():
+    # the Hasse test closes every cell that a unit gradient closed, at the
+    # same level and with the same tail, so each run of the tests fits the
+    # budget of children the gradient-only lift needed
+    for text, n, field, K, children in _GRADIENT_LIFT_CHILDREN:
+        f = parse_polynomial(text, n)
+        assert igusa_series(f, field, K, method="lift", budget=children) \
+            == igusa_series(f, field, K, method="lift")
+
+
+@pytest.mark.parametrize("field", [F3, LaurentFp(3)], ids=["Q3", "F3T"])
+@pytest.mark.parametrize("text", ["x1^2*x2+x1^3", "x1^2*x2+x1^4",
+                                  "x1^2*x2^2+x1^5", "x1^2*x2"])
+def test_lift_on_polynomials_singular_along_an_axis(field, text):
+    # each f is singular along the whole x2-axis, which the box around the
+    # origin does not cover: the lift reaches 18 terms at the default budget
+    f = parse_polynomial(text, 2)
+    lift = igusa_series(f, field, 18, method="lift")
+    assert lift.coeffs[:5] == igusa_series(f, field, 4,
+                                           method="brute").coeffs
+    if text == "x1^2*x2":
+        assert lift == igusa_series(f, field, 18)
+
+
+def test_lift_of_a_frobenius_power():
+    # over F_3((T)), x1^3 + x2^3 = (x1 + x2)^3, and (x1 + x2, x2) keeps
+    # Haar measure: Z = Z(x1^3); no Hasse derivative of order 1 or 2
+    # survives in characteristic 3
+    f = parse_polynomial("x1^3+x2^3", 2)
+    lift = igusa_series(f, LaurentFp(3), 18, method="lift")
+    assert list(lift.coeffs) == monomial_zeta_closed([3], q=3).series(19)
 
 
 def test_monomial_closed_examples():
