@@ -22,7 +22,8 @@ import numpy as np
 
 from ultrazeta import cli
 from ultrazeta.errors import UltrazetaError
-from ultrazeta.fundsol import zeta_exact_in_t
+from ultrazeta.fundsol import (extract_T0, laurent_functional,
+                               t0_applied_to_operator_image, zeta_exact_in_t)
 from ultrazeta.grid import (GridFunction, _poly_weighted_integral,
                             fourier_transform, inverse_fourier_transform,
                             random_grid, reflect)
@@ -31,6 +32,7 @@ from ultrazeta.localfield import (LaurentFp, LocalFieldElement, Qp,
                                   _digit_group_matrix, _digit_reversal,
                                   char_fraction, field_arith,
                                   valuation_and_norm)
+from ultrazeta.ratfunc import laurent_at
 from ultrazeta.zeta import (cells_to_rational, geometric_zeta_factor,
                             igusa_series, monomial_zeta_closed, snc_form_Z0)
 
@@ -217,19 +219,31 @@ def eval_fpt() -> dict:
     return out
 
 
-def rational() -> dict:
-    """Exact closed forms, SNC forms and cell sums, as Fraction strings."""
-    out = {}
+def _exact_grids(field, rng):
+    """The exact frequency-side grids of the ``rational`` and ``laurent``
+    sections: balls of radius q^-1, 1 and q in one and two variables, and
+    one random grid of Fractions drawn from rng."""
+    grids = [GridFunction.indicator_ball(field, n, r, exact=True)
+             for n in (1, 2) for r in (-1, 0, 1)]
+    g = GridFunction.zeros(field, 2, 1, 1, exact=True)
+    for idx in np.ndindex(g.values.shape):
+        if rng.random() < 0.4:
+            g.values[idx] = Fraction(int(rng.integers(-5, 6)),
+                                     int(rng.integers(1, 7)))
+    return grids + [g]
+
+
+def _rationals():
+    """(name, rational function) of the ``rational`` section."""
     for q in (2, 3, 5):
         for N in (1, 2, 3):
             for v in (1, 2, 3):
-                out[f"geometric/{q}/{N}/{v}"] = \
-                    geometric_zeta_factor(q, N, v).to_json()
+                yield f"geometric/{q}/{N}/{v}", geometric_zeta_factor(q, N, v)
     for N, v in (((1,), (1,)), ((2, 1), (1, 1)), ((1, 3), (2, 1)),
                  ((2, 2, 1), (1, 2, 3))):
         for q in (3, 5):
-            out[f"monomial/{q}/{N}/{v}"] = \
-                monomial_zeta_closed(list(N), list(v), q=q).to_json()
+            yield f"monomial/{q}/{N}/{v}", \
+                monomial_zeta_closed(list(N), list(v), q=q)
     for field, text, n, d, terms in (
             (Qp(3), "x1^2+x2^2", 2, 2, 12), (Qp(5), "x1^2+x2^2", 2, 2, 12),
             (LaurentFp(3), "x1^2+x2^2", 2, 2, 12),
@@ -238,27 +252,60 @@ def rational() -> dict:
             (Qp(5), "x1^3+x2^3", 2, 3, 14)):
         f = parse_polynomial(text, n)
         series = igusa_series(f, field, terms)
-        out[f"snc/{field.kind}{field.p}/{text}"] = \
-            snc_form_Z0(f, d, series, field).to_json()
+        yield f"snc/{field.kind}{field.p}/{text}", \
+            snc_form_Z0(f, d, series, field)
     rng = np.random.default_rng(3)
     for field in (Qp(3), LaurentFp(3)):
-        grids = [GridFunction.indicator_ball(field, n, r, exact=True)
-                 for n in (1, 2) for r in (-1, 0, 1)]
-        g = GridFunction.zeros(field, 2, 1, 1, exact=True)
-        for idx in np.ndindex(g.values.shape):
-            if rng.random() < 0.4:
-                g.values[idx] = Fraction(int(rng.integers(-5, 6)),
-                                         int(rng.integers(1, 7)))
-        grids.append(g)
-        for j, g in enumerate(grids):
+        for j, g in enumerate(_exact_grids(field, rng)):
             for specs in ([(1, 1)], [(2, 1)], [(1, 2), (1, 1)],
                           [None, (3, 1)], [(2, 3), None]):
                 if len(specs) == g.n:
-                    out[f"cells/{field.kind}/{j}/{specs}"] = \
-                        cells_to_rational(g, specs).to_json()
+                    yield f"cells/{field.kind}/{j}/{specs}", \
+                        cells_to_rational(g, specs)
             poly = "x1^2" if g.n == 1 else "x1*x2^2"
-            out[f"zeta_t/{field.kind}/{j}"] = zeta_exact_in_t(
-                g, parse_polynomial(poly, g.n), side="frequency").to_json()
+            yield f"zeta_t/{field.kind}/{j}", zeta_exact_in_t(
+                g, parse_polynomial(poly, g.n), side="frequency")
+
+
+def rational() -> dict:
+    """Exact closed forms, SNC forms and cell sums, as Fraction strings."""
+    return {name: R.to_json() for name, R in _rationals()}
+
+
+def _g(expansion, k) -> str:
+    """g_k of the coefficient g_k lambda^k of (s - s0)^k, lambda = ln q,
+    as a Fraction string."""
+    c = expansion.coefficient(k)
+    assert set(c.terms) <= {k}, f"coefficient {c} of order {k}"
+    return str(c.terms.get(k, Fraction(0)))
+
+
+def laurent() -> dict:
+    """Laurent data as Fraction strings of g_k: ``laurent_at`` at s0 = -2,
+    -1 and 0 through order 3 of every rational of the ``rational``
+    section (the lowest order, then g_k up to order 3), and on its exact
+    grids the Laurent functional of x1 and x1^2 (n = 1) or x1*x2 and
+    x1*x2^2 (n = 2) at s = -1 through order 2, its pole order, T0, and
+    ``float.hex`` of [T0, A(d, f) g]."""
+    out = {}
+    for name, R in _rationals():
+        for s0 in (-2, -1, 0):
+            exp = laurent_at(R, s0, 3)
+            out[f"{name}/{s0}"] = [exp.min_order] + [
+                _g(exp, k) for k in range(exp.min_order, 4)]
+    rng = np.random.default_rng(3)
+    for field in (Qp(3), LaurentFp(3)):
+        for j, g in enumerate(_exact_grids(field, rng)):
+            for text in ("x1", "x1^2") if g.n == 1 else ("x1*x2",
+                                                          "x1*x2^2"):
+                f = parse_polynomial(text, g.n)
+                exp = laurent_functional(g, f, side="frequency").expansion
+                image = t0_applied_to_operator_image(g, f, side="frequency")
+                out[f"T0/{field.kind}/{j}/{text}"] = {
+                    "pole_order": exp.pole_order,
+                    "coefficients": [_g(exp, k) for k in range(-g.n, 3)],
+                    "T0": str(extract_T0(g, f, side="frequency")),
+                    "image": [image.real.hex(), image.imag.hex()]}
     return out
 
 
@@ -386,7 +433,7 @@ def reports() -> dict:
 
 SECTIONS = {"tables": tables, "field_ops": field_ops, "elements": elements,
             "eval_fpt": eval_fpt, "rational": rational, "reports": reports,
-            "symbols": symbols, "lift": lift}
+            "symbols": symbols, "lift": lift, "laurent": laurent}
 
 
 def dump(corpus: dict) -> str:
