@@ -4,8 +4,8 @@ from .localfield import (FieldSpec, FieldVector, LocalFieldElement, Qp,
                          LaurentFp, ball_measure, char_fraction, field_arith,
                          sphere_measure, valuation_and_norm)
 from .intpoly import IntPolynomial, parse_polynomial
-from .ratfunc import (LambdaPoly, LaurentExpansion, Poly, RationalFunctionT,
-                      laurent_at, reconstruct_from_series, rf_arith)
+from .ratfunc import (LaurentExpansion, Poly, RationalFunctionT, laurent_at,
+                      reconstruct_from_series, rf_arith)
 from .grid import (GridFunction, Multiplier, SpectralFunction, convolve,
                    dirac, dual_norm, embed, fourier_transform, hinf_metric,
                    inverse_fourier_transform, l2_norm, pairing,

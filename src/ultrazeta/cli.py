@@ -265,9 +265,8 @@ def cmd_fundsol(args):
     out = fundsol_mod.fundamental_solution_check(
         f, field, trials=args.trials, seed=args.seed)
     gh = GridFunction.indicator_ball(field, args.n, 0, exact=True)
-    t0 = fundsol_mod.extract_T0(gh, f, side="frequency")
-    out["t0_on_unit_ball_indicator"] = t0 if isinstance(t0, Fraction) \
-        else complex(t0)
+    out["t0_on_unit_ball_indicator"] = fundsol_mod.extract_T0(
+        gh, f, side="frequency")
     return {"command": "fundsol",
             "config": _cfg(args, ["poly", "p", "n", "trials"]),
             "results": out}

@@ -1,10 +1,24 @@
 """Fundamental solutions through the analytic-continuation trick: expand
 Z_ghat(s, f) at s = -1, read off the order-zero functional T_0, and verify
 that it inverts the operator with symbol |f| (division problem, delta
-identity, convolution solution)."""
+identity, convolution solution).
+
+For a monomial f = c xi_1^{N_1} ... xi_n^{N_n}, Z_ghat is linear in ghat,
+and its integral over a grid cell factors by axis.  So each Laurent
+coefficient is one contraction of ghat with exact per-axis tables, as in
+``grid.power_integral``: row i of the table of exponent N holds the
+u-coefficients g_k (u = lambda (s - s0), lambda = ln q) of the cell
+integral of axis index i, from ``cells_to_rational`` on the 1-D delta grid
+of i and ``laurent_at``.  The factor t^{ord c} is one more table.  An exact
+ghat is contracted in Fractions and a complex one in complex; the pole
+order is the lowest order whose coefficient is nonzero, and the cells that
+ghat leaves uncharged add exact zeros.  ``zeta_exact_in_t`` keeps the whole
+rational function of an exact ghat, the reference for the contraction.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,7 +30,7 @@ from .grid import GridFunction, Multiplier, SpectralFunction, \
     fourier_transform, pairing, random_grid
 from .intpoly import IntPolynomial
 from .localfield import FieldSpec, LocalFieldElement, index_digits
-from .ratfunc import LambdaPoly, RationalFunctionT, laurent_at
+from .ratfunc import LaurentExpansion, RationalFunctionT, laurent_at
 from .zeta import cells_to_rational
 
 
@@ -30,28 +44,108 @@ def _monomial_exponents(f: IntPolynomial):
     return prof
 
 
+def _monomial_zeta_data(g: GridFunction, f: IntPolynomial, side: str):
+    """(ghat, ord c, exponents) of the monomial f = c prod xi_i^{N_i}."""
+    if f.n != g.n:
+        raise ValueError(f"the polynomial has {f.n} variables and the grid "
+                         f"{g.n} coordinates")
+    c, exps = _monomial_exponents(f)
+    gh = g if side == "frequency" else fourier_transform(g)
+    vc = gh.field.ops.int_ord(c)
+    if vc is None:
+        raise UnsupportedPolynomial("monomial coefficient vanishes")
+    return gh, vc, exps
+
+
+def _t_power(k: int, q: int) -> RationalFunctionT:
+    """t^k: |c|^s = q^{-ord(c) s} = t^{ord c}."""
+    return RationalFunctionT.from_coeffs([Fraction(0)] * k + [Fraction(1)],
+                                         [Fraction(1)], q)
+
+
 def zeta_exact_in_t(g: GridFunction, f: IntPolynomial,
                     side: str = "space") -> RationalFunctionT:
     """Z_ghat(s, f) = integral |f(xi)|^s ghat(xi) as a rational function
-    of t = q^{-s}, for monomial f.
+    of t = q^{-s}, for monomial f and exact frequency data.
 
     Cells off the coordinate hyperplanes contribute monomials in t; cells
     meeting xi_i = 0 contribute geometric factors with denominator
     1 - q^{-1} t^{N_i}.
     """
-    c, exps = _monomial_exponents(f)
-    gh = g if side == "frequency" else fourier_transform(g)
-    vc = gh.field.ops.int_ord(c)
-    if vc is None and any(e > 0 for e in exps):
-        raise UnsupportedPolynomial("monomial coefficient vanishes")
-    specs = [(e, 1) if e > 0 else None for e in exps]
-    R = cells_to_rational(gh, specs)
-    if vc:
-        # |c prod xi^N|^s = q^{-vc s} |prod xi^N|^s shifts by t^{vc}
-        shift = RationalFunctionT.from_coeffs(
-            [Fraction(0)] * vc + [Fraction(1)], [Fraction(1)], gh.field.q)
-        R = R * shift
-    return R
+    gh, vc, exps = _monomial_zeta_data(g, f, side)
+    R = cells_to_rational(gh, [(e, 1) if e > 0 else None for e in exps])
+    return R * _t_power(vc, gh.field.q) if vc else R
+
+
+#: the lowest order of a table row: a cell integral has at most a simple
+#: pole, since 1 - q^{-1} t^N has simple roots
+_LOWEST = -1
+
+
+def _row(expansion: LaurentExpansion, order: int) -> list:
+    """g_{-1}, ..., g_order of an expansion."""
+    if expansion.min_order < _LOWEST:
+        raise ArithmeticError(f"a cell integral has a pole of order "
+                              f"{-expansion.min_order}")
+    return [expansion.coefficient(k) for k in range(_LOWEST, order + 1)]
+
+
+def _frozen_table(rows) -> np.ndarray:
+    table = np.array(rows, dtype=object)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _axis_table(field: FieldSpec, L: int, m: int, N: int, s0: int,
+                order: int) -> np.ndarray:
+    """Row i: the u-coefficients at s0, orders -1..order, of the integral
+    of |xi|^{N s} over the cell of axis index i (N = 0: its measure)."""
+    fexp = field.ops.norm_exps(L, m).tolist()
+    rows, by_norm = [], {}
+    for i in range(field.q ** (L + m)):
+        # off the zero cell, the integral depends only on the cell's norm
+        key = fexp[i] if i else None
+        if key not in by_norm:
+            delta = GridFunction.zeros(field, 1, L, m, exact=True)
+            delta.values[i] = Fraction(1)
+            R = cells_to_rational(delta, [(N, 1) if N else None])
+            by_norm[key] = _row(laurent_at(R, s0, order), order)
+        rows.append(by_norm[key])
+    return _frozen_table(rows)
+
+
+@functools.lru_cache(maxsize=64)
+def _t_power_table(q: int, k: int, s0: int, order: int) -> np.ndarray:
+    """One row: the u-coefficients at s0, orders -1..order, of t^k."""
+    return _frozen_table([_row(laurent_at(_t_power(k, q), s0, order),
+                               order)])
+
+
+def _laurent_contraction(g: GridFunction, f: IntPolynomial, side: str,
+                         s0: int, order: int) -> LaurentExpansion:
+    """The Laurent expansion of Z_ghat(s, f) at s0 through order, as
+    sum_xi ghat(xi) prod_i table_i[xi_i] times the t^{ord c} series."""
+    gh, vc, exps = _monomial_zeta_data(g, f, side)
+    q, n = gh.field.q, gh.n
+    # each of the n + 1 factors has at most a simple pole, so a factor's
+    # orders through order + n reach every total order through order
+    top = order + n
+    tables = [_axis_table(gh.field, gh.L, gh.m, N, s0, top) for N in exps]
+    tables.append(_t_power_table(q, vc, s0, top))
+    exact = gh.is_exact
+    v = (gh.values if exact else gh.as_complex())[..., None]
+    for table in tables:
+        v = np.tensordot(v, table if exact else table.astype(complex),
+                         axes=([0], [0]))
+    # column d of each of the n + 1 factors holds order d - 1
+    total = np.indices(v.shape).sum(axis=0) + (n + 1) * _LOWEST
+    coeffs = {}
+    for k in range((n + 1) * _LOWEST, order + 1):
+        c = v[total == k].sum()
+        if c != 0:
+            coeffs[k] = Fraction(c) if exact else complex(c)
+    return LaurentExpansion(s0, q, coeffs, min(coeffs, default=0))
 
 
 @dataclass
@@ -59,8 +153,7 @@ class LaurentFunctional:
     """The Laurent data of g -> Z_ghat(s, f) at s = -1 for a monomial f."""
 
     f: IntPolynomial
-    expansion: object
-    rational: RationalFunctionT
+    expansion: LaurentExpansion
 
     def coefficient(self, k):
         return self.expansion.coefficient(k)
@@ -72,42 +165,26 @@ class LaurentFunctional:
 def laurent_functional(g: GridFunction, f: IntPolynomial,
                        side: str = "space") -> LaurentFunctional:
     """The Laurent expansion at s = -1 through order 2."""
-    R = zeta_exact_in_t(g, f, side=side)
-    exp = laurent_at(R, -1, 2)
-    return LaurentFunctional(f, exp, R)
+    return LaurentFunctional(f, _laurent_contraction(g, f, side, -1, 2))
 
 
 def extract_T0(g: GridFunction, f: IntPolynomial, side: str = "space"):
-    """Order-zero Laurent coefficient of Z_ghat(s, f) at s = -1.
-
-    Exact in Q[lambda, 1/lambda] for exact frequency data; a lambda-free
-    exact value is returned as a Fraction.
-    """
-    lf = laurent_functional(g, f, side=side)
-    c0 = lf.order0()
-    if isinstance(c0, LambdaPoly):
-        try:
-            return c0.as_fraction()
-        except ValueError:
-            return c0
-    return c0
+    """Order-zero Laurent coefficient of Z_ghat(s, f) at s = -1: a
+    Fraction for exact frequency data, complex otherwise."""
+    return _laurent_contraction(g, f, side, -1, 0).coefficient(0)
 
 
 def t0_value(g: GridFunction, f: IntPolynomial, side: str = "space",
              ) -> complex:
-    c0 = extract_T0(g, f, side=side)
-    if isinstance(c0, LambdaPoly):
-        return complex(c0.evaluate(math.log(g.field.q)))
-    return complex(c0)
+    return _laurent_contraction(g, f, side, -1, 0).coefficient_value(0)
 
 
 def t0_applied_to_operator_image(g: GridFunction, f: IntPolynomial,
                                  side: str = "space") -> complex:
-    """[T_0, A(d, f) g], computed by shifting the integrand: the zeta
-    function of |f| ghat at s is the original at s + 1, regular at -1."""
-    R = zeta_exact_in_t(g, f, side=side)
-    shifted = R.substitute_shift(1)
-    exp = laurent_at(shifted, -1, 0)
+    """[T_0, A(d, f) g]: the zeta function of |f| ghat at s is the
+    original at s + 1, so its Laurent data at -1 are the original's at 0,
+    where it is regular."""
+    exp = _laurent_contraction(g, f, side, 0, 0)
     if exp.pole_order:
         raise ArithmeticError("shifted zeta function should be regular "
                               "at s = -1")

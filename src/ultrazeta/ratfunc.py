@@ -1,8 +1,14 @@
 """Exact rational functions in t = q^{-s} and Laurent expansions in s.
 
-The expansion around an integer center s0 composes an exact (t - t0)
-expansion with t - t0 = t0*(e^{-lambda w} - 1), w = s - s0, lambda = ln q.
-For rational inputs every coefficient stays in Q[lambda, 1/lambda].
+Every coefficient is an ``int`` or a ``Fraction``: a float or complex one
+is refused with ``TypeError``.  Floats enter only when a function is
+evaluated (``eval_t``, ``eval_s``) and when a Laurent coefficient is
+turned into a number (``coefficient_value``, ``evaluate_partial``).
+
+Around an integer center s0, t = t0 e^{-u} with t0 = q^{-s0} and
+u = lambda (s - s0), lambda = ln q.  So R(q^{-s}) is a Laurent series
+sum_k g_k u^k with rational g_k, and the coefficient of (s - s0)^k is the
+single term g_k lambda^k.
 """
 
 from __future__ import annotations
@@ -14,32 +20,24 @@ from fractions import Fraction
 from .errors import AmbiguousSolution, NoSolution
 
 
-def _is_exact_scalar(c) -> bool:
-    return isinstance(c, (int, Fraction))
-
-
 class Poly:
-    """Dense univariate polynomial over Fraction or complex coefficients."""
+    """Dense univariate polynomial with int or Fraction coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         cs = list(coeffs)
-        while cs and _is_zero_scalar(cs[-1]):
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"polynomial coefficients are exact: "
+                                f"{c!r} is a {type(c).__name__}")
+        while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = cs
-
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly([c])
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact_scalar(c) for c in self.coeffs)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -67,7 +65,7 @@ class Poly:
             return Poly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero_scalar(a):
+            if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -84,15 +82,12 @@ class Poly:
         lead = other.coeffs[-1]
         quot = [0] * max(0, len(rem) - dq)
         while len(rem) - 1 >= dq and rem:
-            if _is_exact_scalar(rem[-1]) and _is_exact_scalar(lead):
-                c = Fraction(rem[-1]) / Fraction(lead)
-            else:
-                c = rem[-1] / lead
+            c = Fraction(rem[-1]) / lead
             k = len(rem) - 1 - dq
             quot[k] = c
             for j in range(len(other.coeffs)):
                 rem[k + j] = rem[k + j] - c * other.coeffs[j]
-            while rem and _is_zero_scalar(rem[-1]):
+            while rem and rem[-1] == 0:
                 rem.pop()
         return Poly(quot), Poly(rem)
 
@@ -121,13 +116,6 @@ class Poly:
         return f"Poly({self.coeffs})"
 
 
-def _is_zero_scalar(c, tol=0.0) -> bool:
-    """c == 0 for an exact c, |c| <= tol for a float or complex one."""
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return abs(c) <= tol
-
-
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero:
         _, r = a.divmod(b)
@@ -140,11 +128,8 @@ def _poly_gcd(a: Poly, b: Poly) -> Poly:
 
 @dataclass(frozen=True)
 class RationalFunctionT:
-    """Reduced fraction num/den in t, tagged with the residue cardinality q.
-
-    Exact (Fraction) coefficients gcd-reduce; complex coefficients keep
-    the fraction as constructed with a monic denominator.
-    """
+    """Reduced fraction num/den in t, with a monic denominator, tagged
+    with the residue cardinality q."""
 
     num: Poly
     den: Poly
@@ -154,15 +139,13 @@ class RationalFunctionT:
     def make(num: Poly, den: Poly, q: int) -> "RationalFunctionT":
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_exact and den.is_exact:
-            num = Poly([Fraction(c) for c in num.coeffs])
-            den = Poly([Fraction(c) for c in den.coeffs])
-            g = _poly_gcd(num, den)
-            if not g.is_zero and g.degree() > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-        lead = den.coeffs[-1]
-        inv = Fraction(1, 1) / lead if _is_exact_scalar(lead) else 1.0 / lead
+        num = Poly([Fraction(c) for c in num.coeffs])
+        den = Poly([Fraction(c) for c in den.coeffs])
+        g = _poly_gcd(num, den)
+        if g.degree() > 0:
+            num, _ = num.divmod(g)
+            den, _ = den.divmod(g)
+        inv = 1 / den.coeffs[-1]
         return RationalFunctionT(num.scale(inv), den.scale(inv), q)
 
     @staticmethod
@@ -172,10 +155,6 @@ class RationalFunctionT:
     @staticmethod
     def const(c, q) -> "RationalFunctionT":
         return RationalFunctionT.make(Poly([c]), Poly([1]), q)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.num.is_exact and self.den.is_exact
 
     @property
     def is_polynomial(self) -> bool:
@@ -217,54 +196,42 @@ class RationalFunctionT:
 
     def eval_t(self, t):
         d = self.den.eval(t)
-        if _is_zero_scalar(d):
+        if d == 0:
             raise ZeroDivisionError(f"pole at t = {t}")
         return self.num.eval(t) / d
 
     def eval_s(self, s):
         """Evaluate at t = q^{-s}."""
-        if isinstance(s, int) and self.is_exact:
+        if isinstance(s, int):
             return self.eval_t(Fraction(self.q) ** (-s))
         return self.eval_t(complex(self.q) ** (-complex(s)))
 
     def series(self, n_terms: int):
         """First n_terms power-series coefficients at t = 0 (den(0) != 0)."""
         d0 = self.den[0]
-        if _is_zero_scalar(d0):
+        if d0 == 0:
             raise ZeroDivisionError("series at a pole of the function")
         out = []
         for k in range(n_terms):
             acc = self.num[k]
             for j in range(1, min(k, self.den.degree()) + 1):
                 acc = acc - self.den[j] * out[k - j]
-            if _is_exact_scalar(acc) and _is_exact_scalar(d0):
-                out.append(Fraction(acc) / Fraction(d0))
-            else:
-                out.append(acc / d0)
+            out.append(Fraction(acc) / d0)
         return out
 
     def substitute_shift(self, k: int) -> "RationalFunctionT":
         """R(t * q^{-k}), i.e. the substitution s -> s + k."""
-        c = Fraction(self.q) ** (-k) if self.is_exact \
-            else float(self.q) ** (-k)
+        c = Fraction(self.q) ** (-k)
         return RationalFunctionT.make(self.num.compose_scale(c),
                                       self.den.compose_scale(c), self.q)
 
     def to_json(self):
         return {"q": self.q,
-                "num": [_scalar_json(c) for c in self.num.coeffs],
-                "den": [_scalar_json(c) for c in self.den.coeffs]}
+                "num": [str(c) for c in self.num.coeffs],
+                "den": [str(c) for c in self.den.coeffs]}
 
     def __repr__(self):
         return f"({self.num.coeffs})/({self.den.coeffs}) over q={self.q}"
-
-
-def _scalar_json(c):
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, int):
-        return str(c)
-    return {"re": c.real, "im": c.imag}
 
 
 def rf_arith(a: RationalFunctionT, b: RationalFunctionT, op: str,
@@ -358,184 +325,31 @@ def reconstruct_from_series(series, deg_bounds, q: int,
     return cand
 
 
-# -- coefficients in Q[lambda, 1/lambda] --------------------------------------
-
-class LambdaPoly:
-    """Laurent polynomial in lambda = ln q with Fraction coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: Fraction(v) for k, v in (terms or {}).items()
-                      if v != 0}
-
-    @staticmethod
-    def const(c) -> "LambdaPoly":
-        return LambdaPoly({0: Fraction(c)})
-
-    @staticmethod
-    def mono(c, k: int) -> "LambdaPoly":
-        return LambdaPoly({k: Fraction(c)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return LambdaPoly(out)
-
-    def __neg__(self):
-        return LambdaPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LambdaPoly({k: v * other for k, v in self.terms.items()})
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return LambdaPoly(out)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "LambdaPoly":
-        if len(self.terms) != 1:
-            raise ValueError("only lambda-monomials invert exactly")
-        (k, v), = self.terms.items()
-        return LambdaPoly({-k: 1 / v})
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LambdaPoly.const(other)
-        return self.terms == other.terms
-
-    def as_fraction(self) -> Fraction:
-        """The value when lambda-free; raises otherwise."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {0}:
-            raise ValueError(f"coefficient involves lambda: {self}")
-        return self.terms[0]
-
-    def evaluate(self, ln_q: float) -> float:
-        return sum(float(v) * ln_q ** k for k, v in self.terms.items())
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k in sorted(self.terms):
-            v = self.terms[k]
-            if k == 0:
-                bits.append(str(v))
-            else:
-                bits.append(f"{v}*L^{k}" if k != 1 else f"{v}*L")
-        return " + ".join(bits)
-
-
-class _WSeries:
-    """Truncated Laurent series in w with generic coefficients."""
-
-    __slots__ = ("terms", "trunc")
-
-    def __init__(self, terms, trunc):
-        self.terms = {k: v for k, v in terms.items()
-                      if k <= trunc and v != 0}
-        self.trunc = trunc
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return _WSeries(out, min(self.trunc, other.trunc))
-
-    def __mul__(self, other):
-        # a factor's unknown tail enters at its trunc plus the other
-        # factor's (negative) leading order
-        lo_s = min(0, self.min_order() if self.terms else 0)
-        lo_o = min(0, other.min_order() if other.terms else 0)
-        trunc = min(self.trunc + lo_o, other.trunc + lo_s)
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                if k <= trunc:
-                    out[k] = out[k] + v1 * v2 if k in out else v1 * v2
-        return _WSeries(out, trunc)
-
-    def scale(self, c) -> "_WSeries":
-        return _WSeries({k: c * v for k, v in self.terms.items()}, self.trunc)
-
-    def min_order(self):
-        return min(self.terms) if self.terms else None
-
-    def inverse(self) -> "_WSeries":
-        """Invert a series with invertible leading coefficient."""
-        lo = self.min_order()
-        if lo is None:
-            raise ZeroDivisionError("inverting the zero series")
-        c0 = self.terms[lo]
-        c0_inv = _coeff_inverse(c0)
-        # normalized tail: self = c0 w^lo (1 + R), invert the unit part
-        r_terms = {k - lo: c0_inv * v for k, v in self.terms.items()
-                   if k != lo}
-        depth = self.trunc - lo
-        unit_inv = {0: _coeff_one_like(c0)}
-        # (1+R)^{-1} = sum (-R)^k, computed by the standard recursion
-        for k in range(1, depth + 1):
-            acc = None
-            for j, rv in r_terms.items():
-                if 1 <= j <= k and (k - j) in unit_inv:
-                    term = rv * unit_inv[k - j]
-                    acc = term if acc is None else acc + term
-            if acc is not None:
-                unit_inv[k] = -acc
-        out = {}
-        for k, v in unit_inv.items():
-            if v != 0:
-                out[k - lo] = c0_inv * v
-        return _WSeries(out, self.trunc - 2 * lo)
-
-
-def _coeff_inverse(v):
-    if isinstance(v, LambdaPoly):
-        return v.inverse()
-    return 1.0 / v
-
-
-def _coeff_one_like(v):
-    if isinstance(v, LambdaPoly):
-        return LambdaPoly.const(1)
-    return 1.0 + 0.0j
-
+# -- Laurent expansions ---------------------------------------------------------
 
 @dataclass
 class LaurentExpansion:
-    """Expansion sum_k c_k (s - center)^k; exact coefficients live in
-    Q[lambda, 1/lambda], float-path coefficients are complex."""
+    """sum_k g_k lambda^k (s - center)^k, lambda = ln q, through some order.
 
-    center: object
+    ``coefficients`` maps k to g_k: a Fraction from ``laurent_at``, or a
+    complex number where a complex grid was contracted with exact tables.
+    ``min_order`` is the lowest order with a nonzero coefficient (0 for
+    the zero function); ``laurent_at`` reads it exactly, even below a
+    truncation at a negative order.
+    """
+
+    center: int
     q: int
     coefficients: dict
     min_order: int
-    exact: bool
 
     def coefficient(self, k):
-        zero = LambdaPoly() if self.exact else 0j
-        return self.coefficients.get(k, zero)
+        """g_k: the coefficient of (s - center)^k is g_k lambda^k."""
+        return self.coefficients.get(k, Fraction(0))
 
     def coefficient_value(self, k) -> complex:
-        c = self.coefficient(k)
-        if isinstance(c, LambdaPoly):
-            return complex(c.evaluate(math.log(self.q)))
-        return complex(c)
+        """The coefficient of (s - center)^k as a number, g_k (ln q)^k."""
+        return complex(self.coefficient(k) * math.log(self.q) ** k)
 
     @property
     def pole_order(self) -> int:
@@ -549,64 +363,58 @@ class LaurentExpansion:
         return acc
 
 
-def laurent_at(expr: RationalFunctionT, s0, max_order: int,
+def _series_mul(a, b, depth):
+    """The product of two power series, through u^depth."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1))
+            for k in range(depth + 1)]
+
+
+def _series_power(f, e: int, depth):
+    """f^e through u^depth for f(0) = 1 and any integer e:
+    k p_k = sum_{j=1..k} ((e + 1) j - k) f_j p_{k-j}."""
+    p = [Fraction(1)]
+    for k in range(1, depth + 1):
+        p.append(sum(((e + 1) * j - k) * f[j] * p[k - j]
+                     for j in range(1, k + 1)) / k)
+    return p
+
+
+def laurent_at(expr: RationalFunctionT, s0: int, max_order: int,
                ) -> LaurentExpansion:
-    """Laurent expansion of expr(q^{-s}) around s = s0.
+    """Laurent expansion of expr(q^{-s}) around the integer s = s0, through
+    (s - s0)^max_order.
 
-    Rational t-functions have finite-order poles, so every request is a
-    plain pole or regular point; the exact path needs integer s0 (then
-    t0 = q^{-s0} is rational).
+    With x = t - t0, expr = x^o b(x) for a unit power series b, where o is
+    the order of t0 as a root of the numerator less its order as a root of
+    the denominator; o is the lowest order of the expansion.  Since
+    x = t0 (e^{-u} - 1) = -t0 u F(u) with F(u) = sum_k (-u)^k / (k+1)!,
+    the u-series is (-t0)^o u^o F(u)^o b(x(u)), all in Fractions.
     """
+    if not isinstance(s0, int):
+        raise TypeError(f"the center of a Laurent expansion is an integer, "
+                        f"not {s0!r}")
     q = expr.q
-    exact = expr.is_exact and isinstance(s0, int)
-    if exact:
-        t0 = Fraction(q) ** (-s0)
-    else:
-        t0 = complex(q) ** (-complex(s0))
-    num_s = expr.num.compose_shift(t0)
-    den_s = expr.den.compose_shift(t0)
-
-    # pole order = multiplicity of the root u = 0 of the shifted denominator
-    tol = 0.0
-    if not exact:
-        tol = 1e-12 * max(1.0, max(abs(complex(c)) for c in den_s.coeffs))
-    m = 0
-    while m <= den_s.degree() and _is_zero_scalar(den_s[m], tol):
-        m += 1
-    if m > den_s.degree():
-        raise ZeroDivisionError("expression is identically singular")
-    dhat = Poly(den_s.coeffs[m:])
-
-    # u-series of num_s / dhat up to degree m + max_order
-    depth = m + max_order
-    b = RationalFunctionT(num_s, dhat, q).series(depth + 1)
-
-    # w-series of u = t0 (e^{-lambda w} - 1), truncated at max_order
-    if exact:
-        e_terms = {k: LambdaPoly.mono(Fraction((-1) ** k, math.factorial(k))
-                                      * t0, k) for k in range(1, depth + 2)}
-    else:
-        lam = math.log(q)
-        e_terms = {k: t0 * (-lam) ** k / math.factorial(k)
-                   for k in range(1, depth + 2)}
-    u = _WSeries(e_terms, max_order + depth + 1)
-
-    acc = _WSeries({}, max_order)
-    if m == 0:
-        upow = _WSeries({0: _coeff_one_like(next(iter(u.terms.values())))},
-                        max_order + depth + 1)
-    else:
-        uinv = u.inverse()
-        upow = uinv
-        for _ in range(m - 1):
-            upow = upow * uinv
-    for i, bi in enumerate(b):
-        if not _is_zero_scalar(bi):
-            ci = LambdaPoly.const(bi) if exact else complex(bi)
-            acc = acc + upow.scale(ci)
-        if i < len(b) - 1:
-            upow = upow * u
-    coeffs = {k: v for k, v in acc.terms.items() if k <= max_order}
-    min_order = min(coeffs) if coeffs else 0
-    return LaurentExpansion(center=s0, q=q, coefficients=coeffs,
-                            min_order=min_order, exact=exact)
+    t0 = Fraction(q) ** (-s0)
+    num = expr.num.compose_shift(t0)
+    den = expr.den.compose_shift(t0)
+    if num.is_zero:
+        return LaurentExpansion(s0, q, {}, 0)
+    a = next(k for k, c in enumerate(num.coeffs) if c != 0)
+    m = next(k for k, c in enumerate(den.coeffs) if c != 0)
+    lo = a - m
+    depth = max_order - lo
+    coeffs = {}
+    if depth >= 0:
+        F = [Fraction((-1) ** k, math.factorial(k + 1))
+             for k in range(depth + 1)]
+        x = [Fraction(0)] + [-t0 * c for c in F[:depth]]
+        b = RationalFunctionT(Poly(num.coeffs[a:]), Poly(den.coeffs[m:]),
+                              q).series(depth + 1)
+        bx = [b[depth]] + [Fraction(0)] * depth
+        for bk in reversed(b[:depth]):
+            bx = _series_mul(bx, x, depth)
+            bx[0] += bk
+        unit = _series_mul(_series_power(F, lo, depth), bx, depth)
+        scale = (-t0) ** lo
+        coeffs = {lo + k: scale * c for k, c in enumerate(unit) if c != 0}
+    return LaurentExpansion(s0, q, coeffs, lo)

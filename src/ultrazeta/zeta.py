@@ -510,43 +510,63 @@ def locate_real_poles(engine: HinfZetaEngine, lo: float, hi: float):
 
 # -- elementary and mixed integrals -------------------------------------------
 
+def _elementary_specs(g: GridFunction, N, v) -> list:
+    """(N_i, v_i) for the first len(N) coordinates of g, None after."""
+    if len(N) != len(v):
+        raise ValueError(f"{len(N)} exponents N but {len(v)} offsets v")
+    if len(N) > g.n:
+        raise ValueError(f"{len(N)} exponents for a grid of {g.n} "
+                         f"coordinates")
+    if any(Ni < 1 for Ni in N):
+        raise ValueError(f"exponents N must be at least 1, not {list(N)}")
+    return list(zip(N, v)) + [None] * (g.n - len(N))
+
+
 def elementary_integral(g: GridFunction, N, v, s, side="space") -> complex:
     """E_ghat(s; N, v) = integral of prod |xi_i|^{N_i s + v_i - 1} ghat.
 
     ``side="frequency"`` treats g as the frequency-side data directly.
     """
-    r = len(N)
+    specs = _elementary_specs(g, N, v)
     sd = complex(s)
     bound = max(-vi / Ni for Ni, vi in zip(N, v))
     if sd.real <= bound:
         raise DivergentIntegral(
             f"direct evaluation needs Re(s) > {bound}")
     gh = g if side == "frequency" else fourier_transform(g)
-    w = [N[i] * sd + v[i] - 1 if i < r else 0 for i in range(g.n)]
+    w = [sp[0] * sd + sp[1] - 1 if sp else 0 for sp in specs]
     return complex(power_integral(gh, w))
 
 
 def elementary_integral_exact(g: GridFunction, N, v,
                               side="space") -> RationalFunctionT:
-    """The same integral as an exact rational function of t = q^{-s}."""
+    """The same integral as an exact rational function of t = q^{-s}, for
+    exact frequency-side data."""
+    specs = _elementary_specs(g, N, v)
     gh = g if side == "frequency" else fourier_transform(g)
-    specs = [(N[i], v[i]) if i < len(N) else None for i in range(g.n)]
     return cells_to_rational(gh, specs)
 
 
 def cells_to_rational(gh: GridFunction, specs) -> RationalFunctionT:
     """Sum the cell decomposition of integral prod |xi_i|^{N_i s + v_i - 1}
-    ghat(xi) into one rational function in t.
+    ghat(xi) into one rational function in t, for an exact grid.
 
     Hyperplane-free coordinates contribute plain measures, off-hyperplane
     cells contribute monomials q^{f(v-1)} t^{fN}, and zero cells the
     geometric factor (1-1/q)(q^{-v} t^N)^m / (1-q^{-v} t^N).
     """
+    if not gh.is_exact:
+        raise TypeError("an exact rational function needs an exact grid; "
+                        "this one holds complex values")
+    if len(specs) != gh.n:
+        raise ValueError(f"{len(specs)} specs for a grid of {gh.n} "
+                         f"coordinates")
+    if any(sp is not None and sp[0] < 1 for sp in specs):
+        raise ValueError(f"exponents N must be at least 1: {specs}")
     q = gh.field.q
     qf = Fraction(q)
     fexp = gh.field.ops.norm_exps(gh.L, gh.m).tolist()
     meas = qf ** (-gh.m)
-    exact = gh.is_exact
     nz = np.nonzero(gh.values)
     # only axes whose zero cell carries mass contribute denominator factors
     active = [ax for ax in range(gh.n)
@@ -563,16 +583,13 @@ def cells_to_rational(gh: GridFunction, specs) -> RationalFunctionT:
     coef, tdeg, lead = [], [], []
     for ax in range(gh.n):
         if specs[ax] is None:
-            coef.append([meas if exact else float(meas)] * len(fexp))
+            coef.append([meas] * len(fexp))
             tdeg.append(0 * fe)
             lead.append(0 * fe)
             continue
         N, vv = specs[ax]
         at_zero = (1 - 1 / qf) * qf ** (-vv * gh.m)
         by_exp = {e: meas * qf ** (e * (vv - 1)) for e in set(fexp[1:])}
-        if not exact:
-            at_zero = float(at_zero)
-            by_exp = {e: float(w) for e, w in by_exp.items()}
         coef.append([at_zero] + [by_exp[e] for e in fexp[1:]])
         tdeg.append(-fe * N)
         tdeg[-1][0] = N * gh.m
@@ -583,12 +600,9 @@ def cells_to_rational(gh: GridFunction, specs) -> RationalFunctionT:
     # the product of the active factors of each set of axes off zero
     products = {}
     num_terms = {}
-    one = Fraction(1) if exact else 1.0 + 0.0j
-    zero = Fraction(0) if exact else 0.0 + 0.0j
-    vals = gh.values[nz] if exact else gh.values[nz].astype(complex)
-    for val, tpow, idx in zip(vals.tolist(), tpows,
+    for val, tpow, idx in zip(gh.values[nz].tolist(), tpows,
                               zip(*(a.tolist() for a in nz))):
-        piece_coeff = one
+        piece_coeff = Fraction(1)
         for ax, i in enumerate(idx):
             piece_coeff *= coef[ax][i]
         axes = tuple(ax for ax in active if idx[ax])
@@ -596,20 +610,19 @@ def cells_to_rational(gh: GridFunction, specs) -> RationalFunctionT:
             cof = Poly([Fraction(1)])
             for ax in axes:
                 cof = cof * factors[ax]
-            products[axes] = [(k, c if exact else complex(c))
-                              for k, c in enumerate(cof.coeffs) if c != 0]
+            products[axes] = [(k, c) for k, c in enumerate(cof.coeffs)
+                              if c != 0]
         for k, c in products[axes]:
             key = tpow + k
-            num_terms[key] = num_terms.get(key, zero) + val * piece_coeff * c
+            num_terms[key] = num_terms.get(key, 0) + val * piece_coeff * c
     if not num_terms:
-        return RationalFunctionT.const(Fraction(0) if exact else 0.0j, q)
+        return RationalFunctionT.const(Fraction(0), q)
     strip = min(min(num_terms), shift)
     num_terms = {k - strip: v for k, v in num_terms.items()}
     if shift > strip:
         den = den * Poly([Fraction(0)] * (shift - strip) + [Fraction(1)])
     top = max(num_terms)
-    num = Poly([num_terms.get(k, Fraction(0) if exact else 0.0j)
-                for k in range(top + 1)])
+    num = Poly([num_terms.get(k, Fraction(0)) for k in range(top + 1)])
     return RationalFunctionT.make(num, den, q)
 
 

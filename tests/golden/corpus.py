@@ -275,9 +275,7 @@ def rational() -> dict:
 def _g(expansion, k) -> str:
     """g_k of the coefficient g_k lambda^k of (s - s0)^k, lambda = ln q,
     as a Fraction string."""
-    c = expansion.coefficient(k)
-    assert set(c.terms) <= {k}, f"coefficient {c} of order {k}"
-    return str(c.terms.get(k, Fraction(0)))
+    return str(expansion.coefficient(k))
 
 
 def laurent() -> dict:

@@ -1,8 +1,8 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ultrazeta.errors import UnsupportedPolynomial
 from ultrazeta.fundsol import (convolution_check, delta_identity_check,
@@ -11,11 +11,12 @@ from ultrazeta.fundsol import (convolution_check, delta_identity_check,
                                laurent_functional,
                                t0_applied_to_operator_image, t0_value,
                                zeta_exact_in_t)
-from ultrazeta.grid import GridFunction, fourier_transform, random_grid
+from ultrazeta.grid import GridFunction, power_integral, random_grid
 from ultrazeta.intpoly import parse_polynomial
 from ultrazeta.localfield import LaurentFp, LocalFieldElement, Qp
-from ultrazeta.ratfunc import LambdaPoly
-from ultrazeta.zeta import monomial_zeta_closed
+from ultrazeta.ratfunc import RationalFunctionT, laurent_at
+from ultrazeta.zeta import cells_to_rational, elementary_integral, \
+    monomial_zeta_closed
 
 F3 = Qp(3)
 XI = parse_polynomial("x1", 1)
@@ -35,8 +36,8 @@ def test_zeta_exact_fubini():
 
 
 def test_zeta_exact_entire_off_hyperplanes():
-    gh = GridFunction.zeros(F3, 1, 1, 1)
-    gh.values[5] = 1.0 - 0.5j
+    gh = GridFunction.zeros(F3, 1, 1, 1, exact=True)
+    gh.values[5] = Fraction(-1, 2)
     R = zeta_exact_in_t(gh, XI, side="frequency")
     assert all(c == 0 for c in R.den.coeffs[:-1])  # bare power of t
 
@@ -57,16 +58,14 @@ def test_t0_hand_value_exact():
     assert t02 == Fraction(5, 27)
 
 
-def _numeric_t0_limit(lf, h0=4e-3):
-    """lim_{s -> -1} [Z(s) - c_{-1}/(s+1)] by Richardson extrapolation
-    through three nodes (kills the h and h^2 truncation terms)."""
-    cm1 = lf.coefficient(-1)
-    cm1 = cm1.evaluate(math.log(lf.rational.q)) \
-        if isinstance(cm1, LambdaPoly) else complex(cm1)
+def _numeric_t0_limit(g, lf, h0=4e-3):
+    """lim_{s -> -1} [Z(s) - c_{-1}/(s+1)] for f = x1 by Richardson
+    extrapolation through three nodes (kills the h and h^2 truncation
+    terms), with Z(-1 + h) the cell sum of |xi|^{-1 + h} ghat."""
+    cm1 = lf.expansion.coefficient_value(-1)
 
     def F(h):
-        return lf.rational.eval_t(complex(lf.rational.q) ** (1 - h)) \
-            - cm1 / h
+        return elementary_integral(g, [1], [1], -1 + h) - cm1 / h
 
     return (F(h0) - 6 * F(h0 / 2) + 8 * F(h0 / 4)) / 3
 
@@ -77,10 +76,8 @@ def test_t0_numeric_limit_crosscheck():
         g = random_grid(F3, 1, 1, 1, rng)
         lf = laurent_functional(g, XI)
         t0 = t0_value(g, XI)
-        numeric = _numeric_t0_limit(lf)
-        scale = 1 + abs(t0) + abs(complex(lf.coefficient(-1))
-                                  if not isinstance(lf.coefficient(-1),
-                                                    LambdaPoly) else 0)
+        numeric = _numeric_t0_limit(g, lf)
+        scale = 1 + abs(t0) + abs(lf.expansion.coefficient_value(-1))
         assert abs(numeric - t0) < 1e-8 * scale
 
 
@@ -89,7 +86,7 @@ def test_t0_regular_when_support_off_zero():
     gh.values[3] = 2.0  # |rep| = 1, off the hyperplane
     lf = laurent_functional(gh, XI, side="frequency")
     assert lf.expansion.pole_order == 0
-    direct = lf.rational.eval_t(complex(3) ** 1)
+    direct = power_integral(gh, [-1])  # Z(-1) = integral of |xi|^-1 ghat
     assert abs(lf.expansion.coefficient_value(0) - direct) < 1e-12
 
 
@@ -104,17 +101,20 @@ def test_t0_linearity():
 def test_shift_identity_exact_rational():
     # zeta(g, f) at s+1 equals the zeta of the operator image at s,
     # exactly as rational functions
-    from ultrazeta.zeta import cells_to_rational
-
-    rng = np.random.default_rng(2)
-    g = random_grid(F3, 1, 1, 1, rng)
-    gh = fourier_transform(g)
+    gh = _exact_grid(F3, 1, np.random.default_rng(2))
     R = zeta_exact_in_t(gh, XI, side="frequency")
-    shifted = R.substitute_shift(1)
     # the |f|-weighted decomposition: same cells at offset v = N + 1
-    RA = cells_to_rational(gh, [(1, 2)])
-    diff = shifted - RA
-    assert all(abs(complex(c)) < 1e-12 for c in diff.num.coeffs)
+    assert R.substitute_shift(1) == cells_to_rational(gh, [(1, 2)])
+
+
+def _exact_grid(field, n, rng, L=1, m=1, density=0.6):
+    """A frequency-side grid of random Fractions."""
+    g = GridFunction.zeros(field, n, L, m, exact=True)
+    for idx in np.ndindex(g.values.shape):
+        if rng.random() < density:
+            g.values[idx] = Fraction(int(rng.integers(-9, 10)),
+                                     int(rng.integers(1, 8)))
+    return g
 
 
 def test_delta_identity_direct_small():
@@ -208,6 +208,21 @@ def test_division_check_rejects_vanishing_coefficient():
         division_check(f, LaurentFp(3))
 
 
+def test_a_constant_zero_in_the_field_is_refused():
+    # 3 = 0 in F_3((T)): |3|^s = 0, not 1, and division_check refuses it
+    f = parse_polynomial("3", 1)
+    gh = GridFunction.indicator_ball(LaurentFp(3), 1, 0, exact=True)
+    for fn in (zeta_exact_in_t, extract_T0):
+        with pytest.raises(UnsupportedPolynomial):
+            fn(gh, f, side="frequency")
+    with pytest.raises(UnsupportedPolynomial):
+        division_check(f, LaurentFp(3))
+    # over Q_3, |3|^s = t
+    ball = GridFunction.indicator_ball(F3, 1, 0, exact=True)
+    assert zeta_exact_in_t(ball, f, side="frequency") \
+        == RationalFunctionT.from_coeffs([0, 1], [1], 3)
+
+
 # -- division_check still sees a wrong table or a wrong element ----------------
 
 @pytest.mark.parametrize("field", [Qp(3), LaurentFp(3)])
@@ -256,3 +271,91 @@ def test_division_check_fails_on_a_wrong_element_digit(monkeypatch, field,
     assert rep.trials == 80 * 80
     assert len(rep.failures) == 2 * 80 - 1
     assert all(bad in f["cell"] for f in rep.failures)
+
+
+# -- the contraction against the exact route ------------------------------------
+
+@st.composite
+def _exact_cases(draw):
+    """An exact frequency-side grid on Q_p or F_p((T)), p = 2 or 3, with
+    zero cells charged or empty, and a monomial of matching dimension
+    whose coefficient is a unit or not."""
+    field = (Qp if draw(st.booleans()) else LaurentFp)(
+        draw(st.sampled_from([2, 3])))
+    text, n = draw(st.sampled_from([("x1", 1), ("x1^2", 1), ("x1*x2", 2),
+                                    ("x1^2*x2", 2), ("x2", 2)]))
+    c = draw(st.sampled_from([1, 2, 3, 6]))
+    assume(field.ops.int_ord(c) is not None)
+    L, m = draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = _exact_grid(field, n, rng, L, m, draw(st.sampled_from([0.3, 1.0])))
+    if draw(st.booleans()):  # an empty zero cell
+        g.values[(0,) * n] = Fraction(0)
+    return g, parse_polynomial(f"{c}*{text}", n)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_exact_cases())
+def test_contraction_equals_the_exact_route(case):
+    g, f = case
+    R = zeta_exact_in_t(g, f, side="frequency")
+    want = laurent_at(R, -1, 2)
+    got = laurent_functional(g, f, side="frequency").expansion
+    for k in range(-g.n, 3):
+        assert got.coefficient(k) == want.coefficient(k)
+        assert type(got.coefficient(k)) is Fraction
+    assert got.pole_order == want.pole_order
+    assert extract_T0(g, f, side="frequency") == want.coefficient(0)
+    # [T0, A(d, f) g]: the rational at s + 1, regular at s = -1
+    image = laurent_at(R.substitute_shift(1), -1, 0)
+    assert t0_applied_to_operator_image(g, f, side="frequency") \
+        == image.coefficient_value(0)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_exact_cases())
+def test_complex_copy_agrees_with_the_exact_grid(case):
+    g, f = case
+    copy = GridFunction(g.field, g.n, g.L, g.m, g.as_complex())
+    exact = laurent_functional(g, f, side="frequency").expansion
+    approx = laurent_functional(copy, f, side="frequency").expansion
+    values = [exact.coefficient_value(k) for k in range(-g.n, 3)]
+    scale = max(abs(v) for v in values) or 1.0
+    for k, v in zip(range(-g.n, 3), values):
+        assert abs(approx.coefficient_value(k) - v) <= 1e-12 * scale
+    assert abs(t0_applied_to_operator_image(copy, f, side="frequency")
+               - t0_applied_to_operator_image(g, f, side="frequency")) \
+        <= 1e-12 * (1 + abs(t0_applied_to_operator_image(
+            g, f, side="frequency")))
+
+
+def test_uncharged_zero_cell_has_no_pole_on_a_complex_grid():
+    # ghat vanishes on the zero cell: the pole coefficients are exact
+    # zeros, so T0 reads a regular point without any threshold
+    rng = np.random.default_rng(5)
+    gh = GridFunction(F3, 2, 1, 1, rng.standard_normal((9, 9)) + 0j)
+    gh.values[0, :] = 0
+    gh.values[:, 0] = 0
+    exp = laurent_functional(gh, XI12, side="frequency").expansion
+    assert exp.pole_order == 0
+    assert exp.coefficient(-1) == exp.coefficient(-2) == 0
+
+
+# -- dimensions ------------------------------------------------------------------
+
+@pytest.mark.parametrize("f, n", [(XI12, 1), (XI, 2)])
+def test_monomial_and_grid_dimensions_must_match(f, n):
+    gh = GridFunction.indicator_ball(F3, n, 0, exact=True)
+    for fn in (zeta_exact_in_t, extract_T0, laurent_functional, t0_value,
+               t0_applied_to_operator_image):
+        with pytest.raises(ValueError, match=f"{f.n} variables .* {n} "
+                                             f"coordinates"):
+            fn(gh, f, side="frequency")
+
+
+def test_zeta_exact_in_t_refuses_a_complex_grid():
+    gh = GridFunction.indicator_ball(F3, 1, 0)
+    with pytest.raises(TypeError, match="exact grid"):
+        zeta_exact_in_t(gh, XI, side="frequency")
+    # the complex grid reaches T0 through the contraction
+    assert abs(t0_value(gh, XI, side="frequency") - 1 / 3) < 1e-15

@@ -1,11 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
 
 from ultrazeta.errors import NoSolution
-from ultrazeta.ratfunc import (LambdaPoly, Poly, RationalFunctionT,
-                               laurent_at, reconstruct_from_series, rf_arith)
+from ultrazeta.ratfunc import (Poly, RationalFunctionT, laurent_at,
+                               reconstruct_from_series, rf_arith)
+from ultrazeta.zeta import monomial_zeta_closed
 
 
 def geom(q, v=1, N=1):
@@ -82,9 +86,11 @@ def test_laurent_exact_coefficients():
     exp = laurent_at(geom(q), -1, 2)
     w = 1 - Fraction(1, q)
     assert exp.pole_order == 1
-    assert exp.coefficient(-1) == LambdaPoly.mono(w, -1)
-    assert exp.coefficient(0) == LambdaPoly.const(w / 2)
-    assert exp.coefficient(1) == LambdaPoly.mono(w / 12, 1)
+    # w / (1 - e^{-u}) = w (1/u + 1/2 + u/12 + ...), u = (s + 1) ln q
+    assert exp.coefficient(-1) == w
+    assert exp.coefficient(0) == w / 2
+    assert exp.coefficient(1) == w / 12
+    assert exp.coefficient_value(-1) == complex(float(w) / math.log(q))
 
 
 def test_laurent_regular_point():
@@ -113,24 +119,14 @@ def test_laurent_partial_sum_order(h):
     assert abs(direct - approx) < 100 * h ** (K + 1) + 1e-12
 
 
-def test_laurent_float_path():
-    R = RationalFunctionT.from_coeffs([0.5 + 0.1j], [1.0, -1 / 3.0], 3)
-    exp = laurent_at(R, -1.0, 2)
-    assert not exp.exact
-    s = -1 + 1e-3
-    assert abs(exp.evaluate_partial(s)
-               - R.eval_t(complex(3) ** (-s))) < 1e-9
-
-
 def test_exactness_of_exact_path():
     R = geom(5) * geom(5, v=3, N=2)
-    assert R.is_exact
-    for c in R.series(10):
+    for c in R.num.coeffs + R.den.coeffs + R.series(10):
         assert isinstance(c, Fraction)
     exp = laurent_at(R, -1, 2)
-    assert exp.exact
+    assert exp.coefficients
     for k, c in exp.coefficients.items():
-        assert isinstance(c, LambdaPoly)
+        assert isinstance(c, Fraction)
 
 
 def test_series_shift_substitution():
@@ -147,3 +143,111 @@ def test_poly_divmod_exact():
     b = Poly([Fraction(1), Fraction(1)])
     qt, r = a.divmod(b)
     assert r.is_zero and qt == Poly([Fraction(1), Fraction(-1)])
+
+
+# -- laurent_at below order 0 -------------------------------------------------
+
+@pytest.mark.parametrize("N", [[1, 1], [1], [2]], ids=["double", "simple",
+                                                       "regular"])
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_laurent_truncation_below_order_zero(N, k):
+    # the double pole of [1, 1] once dropped c_{-1} at k = -1, the simple
+    # pole of [1] raised ZeroDivisionError and the regular [2] leaked
+    # StopIteration
+    R = monomial_zeta_closed(N, q=3)
+    full = laurent_at(R, -1, 4)
+    exp = laurent_at(R, -1, k)
+    assert exp.coefficients == {j: c for j, c in full.coefficients.items()
+                                if j <= k}
+    assert (exp.min_order, exp.pole_order) \
+        == (full.min_order, full.pole_order) == (-N.count(1), N.count(1))
+
+
+def test_laurent_double_pole_coefficients():
+    # (2/3)^2 / (1 - e^{-u})^2 = 4/9 (u^{-2} + u^{-1} + 5/12 + ...)
+    exp = laurent_at(monomial_zeta_closed([1, 1], q=3), -1, 0)
+    assert exp.coefficients == {-2: Fraction(4, 9), -1: Fraction(4, 9),
+                                0: Fraction(5, 27)}
+
+
+def test_laurent_of_zero_and_of_a_zero_at_the_center():
+    zero = laurent_at(RationalFunctionT.const(0, 3), -1, 2)
+    assert (zero.coefficients, zero.min_order) == ({}, 0)
+    # 1 - t/3 vanishes at s = -1 to first order: 1 - e^{-u}
+    exp = laurent_at(RationalFunctionT.from_coeffs(
+        [1, Fraction(-1, 3)], [1], 3), -1, 2)
+    assert exp.min_order == 1 and exp.pole_order == 0
+    assert exp.coefficients == {1: 1, 2: Fraction(-1, 2)}
+
+
+# -- refusals at the exact boundary -------------------------------------------
+
+@pytest.mark.parametrize("bad", [0.1, 0.5 + 0.1j, 1.0])
+def test_inexact_coefficients_are_refused(bad):
+    with pytest.raises(TypeError, match="exact"):
+        Poly([Fraction(1), bad])
+    with pytest.raises(TypeError, match="exact"):
+        RationalFunctionT.from_coeffs([bad], [1], 3)
+    with pytest.raises(TypeError, match="exact"):
+        RationalFunctionT.from_coeffs([1], [1, bad], 3)
+    with pytest.raises(TypeError, match="exact"):
+        RationalFunctionT.const(bad, 3)
+
+
+@pytest.mark.parametrize("center", [-1.0, Fraction(-1), -1 + 0j, "-1"])
+def test_laurent_needs_an_integer_center(center):
+    with pytest.raises(TypeError, match="integer"):
+        laurent_at(geom(3), center, 2)
+
+
+# -- evaluate_partial against eval_t ------------------------------------------
+
+@st.composite
+def _rationals(draw):
+    """An exact rational function with numerator and denominator of
+    degree at most 3, and an integer center."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    fr = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    num = draw(st.lists(fr, min_size=1, max_size=4))
+    den = [Fraction(1)] + draw(st.lists(fr, max_size=3))
+    if all(c == 0 for c in num):
+        num[0] = Fraction(1)
+    return RationalFunctionT.from_coeffs(num, den, q), \
+        draw(st.integers(-2, 1))
+
+
+def _rounding(R, exp, s):
+    """A bound on the rounding of eval_t and of evaluate_partial at s."""
+    t = float(R.q) ** (-s)
+    value = [abs(P.eval(t)) for P in (R.num, R.den)]
+    size = [sum(abs(float(c)) * t ** i for i, c in enumerate(P.coeffs))
+            for P in (R.num, R.den)]
+    direct = abs(value[0] / value[1]) * (size[0] / value[0]
+                                         + size[1] / value[1])
+    partial = sum(abs(exp.coefficient_value(k)) * abs(s - exp.center) ** k
+                  for k in exp.coefficients)
+    return 64 * 2.0 ** -52 * (direct + partial)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_rationals(), st.integers(1, 3))
+def test_evaluate_partial_matches_eval_t(case, K):
+    R, s0 = case
+    exp = laurent_at(R, s0, K)
+    t0 = float(R.q) ** (-s0)
+    h = 0.04
+    # the series in t - t0 converges past 4 |t - t0|: no other pole nearer
+    others = [abs(r - t0) for r in np.roots([float(c) for c in
+                                             reversed(R.den.coeffs)])
+              if abs(r - t0) > 1e-9]
+    assume(all(4 * abs(float(R.q) ** -(s0 + h) - t0) < d for d in others))
+    assume(R.num.eval(float(R.q) ** -(s0 + h)) != 0)
+    errs, floors = [], []
+    for step in (h, h / 2):
+        s = s0 + step
+        errs.append(abs(exp.evaluate_partial(s)
+                        - complex(R.eval_t(complex(R.q) ** (-s)))))
+        floors.append(_rounding(R, exp, s))
+    # the truncation error is O(h^{K+1}): halving h divides it by about
+    # 2^{K+1}
+    assert errs[1] <= 1.5 * errs[0] / 2 ** (K + 1) + floors[0] + floors[1]

@@ -681,22 +681,34 @@ def test_elementary_against_monomial_closed():
 
 
 def test_elementary_entire_off_hyperplanes():
-    gh = GridFunction.zeros(F3, 1, 1, 1)
-    gh.values[2] = 1.5
-    gh.values[7] = -0.5
+    gh = GridFunction.zeros(F3, 1, 1, 1, exact=True)
+    gh.values[2] = Fraction(3, 2)
+    gh.values[7] = Fraction(-1, 2)
     R = elementary_integral_exact(gh, [1], [1], side="frequency")
     # no geometric factors: denominator is a bare power of t
     assert all(c == 0 for c in R.den.coeffs[:-1])
 
 
+def _exact_grid(field, n, rng, L=1, m=1):
+    """A frequency-side grid of random Fractions, zero on about half the
+    cells."""
+    g = GridFunction.zeros(field, n, L, m, exact=True)
+    for idx in np.ndindex(g.values.shape):
+        if rng.random() < 0.5:
+            g.values[idx] = Fraction(int(rng.integers(-9, 10)),
+                                     int(rng.integers(1, 8)))
+    return g
+
+
 def test_elementary_exact_equals_direct():
     rng = np.random.default_rng(21)
-    for _ in range(5):
-        g = random_grid(F3, 2, 1, 1, rng)
-        R = elementary_integral_exact(g, [1, 2], [1, 1])
+    for field in (F3, F3, F3, LaurentFp(3), LaurentFp(3)):
+        gh = _exact_grid(field, 2, rng)
+        R = elementary_integral_exact(gh, [1, 2], [1, 1], side="frequency")
         for s in (0.4, 1.1, 0.9 + 0.3j):
-            d = elementary_integral(g, [1, 2], [1, 1], s)
-            assert abs(R.eval_t(complex(3) ** (-complex(s))) - d) < 1e-10
+            d = elementary_integral(gh, [1, 2], [1, 1], s, side="frequency")
+            assert abs(R.eval_t(complex(3) ** (-complex(s))) - d) \
+                < 1e-12 * (1 + abs(d))
 
 
 def test_elementary_divergence_precondition():
@@ -829,12 +841,11 @@ def test_heat_kernel_scaling():
 
 def _cells_to_rational_per_cell(gh, specs):
     """The cell sum with every coefficient and factor product rebuilt per
-    cell, in the same order of float operations."""
+    cell."""
     q = gh.field.q
     qf = Fraction(q)
     fexp = _axis_norm_exps(q, gh.L, gh.m)
     meas = qf ** (-gh.m)
-    exact = gh.is_exact
     cells = list(zip(*np.nonzero(gh.values)))
     active = sorted({ax for idx in cells for ax in range(gh.n)
                      if specs[ax] is not None and idx[ax] == 0})
@@ -849,24 +860,22 @@ def _cells_to_rational_per_cell(gh, specs):
                  for idx in cells), default=0)
     num_terms = {}
     for idx in cells:
-        val = gh.values[idx] if exact else complex(gh.values[idx])
-        piece_coeff = Fraction(1) if exact else 1.0 + 0.0j
+        val = gh.values[idx]
+        piece_coeff = Fraction(1)
         tpow = shift
         cof = Poly([Fraction(1)])
         for ax, i in enumerate(idx):
             spec = specs[ax]
             if spec is None:
-                piece_coeff *= meas if exact else float(meas)
+                piece_coeff *= meas
                 continue
             N, vv = spec
             if i == 0:
-                piece_coeff *= (1 - 1 / qf) * qf ** (-vv * gh.m) if exact \
-                    else float((1 - 1 / qf) * qf ** (-vv * gh.m))
+                piece_coeff *= (1 - 1 / qf) * qf ** (-vv * gh.m)
                 tpow += N * gh.m
             else:
                 fe = int(fexp[i])
-                w = meas * qf ** (fe * (vv - 1))
-                piece_coeff *= w if exact else float(w)
+                piece_coeff *= meas * qf ** (fe * (vv - 1))
                 tpow -= fe * N
                 if ax in active:
                     cof = cof * factors[ax]
@@ -874,26 +883,22 @@ def _cells_to_rational_per_cell(gh, specs):
             if c == 0:
                 continue
             key = tpow + k
-            add = (val * piece_coeff * c) if exact \
-                else complex(val) * piece_coeff * complex(c)
-            num_terms[key] = num_terms.get(key, Fraction(0) if exact
-                                           else 0.0 + 0.0j) + add
+            num_terms[key] = num_terms.get(key, 0) + val * piece_coeff * c
     if not num_terms:
-        return RationalFunctionT.const(Fraction(0) if exact else 0.0j, q)
+        return RationalFunctionT.const(0, q)
     strip = min(min(num_terms), shift)
     num_terms = {k - strip: v for k, v in num_terms.items()}
     if shift > strip:
         den = den * Poly([Fraction(0)] * (shift - strip) + [Fraction(1)])
     top = max(num_terms)
-    num = Poly([num_terms.get(k, Fraction(0) if exact else 0.0j)
-                for k in range(top + 1)])
+    num = Poly([num_terms.get(k, 0) for k in range(top + 1)])
     return RationalFunctionT.make(num, den, q)
 
 
 @st.composite
 def _cell_grids(draw):
-    """A grid on either field (n = 1..3, at most 729 cells), exact or
-    complex, with zero cells charged or empty, and per-axis specs."""
+    """An exact grid on either field (n = 1..3, at most 729 cells), with
+    zero cells charged or empty, and per-axis specs."""
     field = (Qp if draw(st.booleans()) else LaurentFp)(
         draw(st.sampled_from([2, 3])))
     n = draw(st.integers(1, 3))
@@ -903,19 +908,15 @@ def _cell_grids(draw):
     L = draw(st.integers(0, width))
     shape = (p ** width,) * n
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    exact = draw(st.booleans())
-    if exact:
-        vals = np.empty(shape, dtype=object)
-        nums, dens = rng.integers(-9, 10, shape), rng.integers(1, 7, shape)
-        for idx in np.ndindex(shape):
-            vals[idx] = Fraction(int(nums[idx]), int(dens[idx]))
-    else:
-        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals = np.empty(shape, dtype=object)
+    nums, dens = rng.integers(-9, 10, shape), rng.integers(1, 7, shape)
+    for idx in np.ndindex(shape):
+        vals[idx] = Fraction(int(nums[idx]), int(dens[idx]))
     keep = rng.random(shape) < draw(st.sampled_from([0.2, 0.6, 1.0]))
-    vals[~keep] = Fraction(0) if exact else 0
+    vals[~keep] = Fraction(0)
     for ax in range(n):
         if draw(st.booleans()):  # an empty zero cell on this axis
-            vals[(slice(None),) * ax + (0,)] = Fraction(0) if exact else 0
+            vals[(slice(None),) * ax + (0,)] = Fraction(0)
     specs = [draw(st.one_of(st.none(), st.tuples(st.integers(1, 3),
                                                   st.integers(1, 3))))
              for _ in range(n)]
@@ -929,8 +930,45 @@ def test_cells_to_rational_matches_per_cell_sum(case):
     got = cells_to_rational(g, specs)
     want = _cells_to_rational_per_cell(g, specs)
     assert got.den.coeffs == want.den.coeffs
-    if g.is_exact:
-        assert got.num.coeffs == want.num.coeffs
-        assert all(type(c) is Fraction for c in got.num.coeffs)
-    else:  # bitwise: the reprs of the floats, signed zeros included
-        assert repr(got.num.coeffs) == repr(want.num.coeffs)
+    assert got.num.coeffs == want.num.coeffs
+    assert all(type(c) is Fraction for c in got.num.coeffs)
+
+
+# -- dimensions and exactness of the cell sums -----------------------------------
+
+def test_cells_to_rational_needs_one_spec_per_coordinate():
+    gh = GridFunction.indicator_ball(F3, 2, 0, exact=True)
+    for specs in ([(1, 1)], [(1, 1), None, (2, 1)]):
+        with pytest.raises(ValueError, match=f"{len(specs)} specs for a "
+                                             f"grid of 2 coordinates"):
+            cells_to_rational(gh, specs)
+    with pytest.raises(ValueError, match="at least 1"):
+        cells_to_rational(gh, [(0, 1), None])
+
+
+def test_elementary_integrals_check_their_exponents():
+    gh = GridFunction.indicator_ball(F3, 1, 0, exact=True)
+    for fn, args in ((elementary_integral_exact, ()),
+                     (elementary_integral, (1.5,))):
+        with pytest.raises(ValueError, match="2 exponents for a grid of 1"):
+            fn(gh, [1, 1], [1, 1], *args, side="frequency")
+        with pytest.raises(ValueError, match="1 exponents N but 0 offsets"):
+            fn(gh, [1], [], *args, side="frequency")
+        with pytest.raises(ValueError, match="2 exponents N but 1 offsets"):
+            fn(gh, [1, 1], [1], *args, side="frequency")
+        # 1 - q^{-v} t^0 is no geometric factor: N = 0 once gave a wrong
+        # rational, and a ZeroDivisionError in the direct route
+        with pytest.raises(ValueError, match="at least 1"):
+            fn(gh, [0], [1], *args, side="frequency")
+
+
+def test_the_exact_routes_refuse_complex_grids():
+    gh = GridFunction.indicator_ball(F3, 1, 0)
+    with pytest.raises(TypeError, match="exact grid"):
+        cells_to_rational(gh, [(1, 1)])
+    with pytest.raises(TypeError, match="exact grid"):
+        elementary_integral_exact(gh, [1], [1], side="frequency")
+    # the space side transforms into complex values
+    with pytest.raises(TypeError, match="exact grid"):
+        elementary_integral_exact(GridFunction.indicator_ball(
+            F3, 1, 0, exact=True), [1], [1])
